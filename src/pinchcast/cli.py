@@ -15,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import experiments
 from .config import SystemConfig
 from .experiments import (
     PRESETS,
+    SCHEMES,
     ExperimentSpec,
     emit,
     emit_traces,
@@ -26,15 +28,9 @@ from .experiments import (
     run_experiment,
 )
 from .fileio import _load_yaml, load_config, load_topology
-from .noma import solve_noma
 from .records import SchemeSolution
-from .tdma import solve_tdma_pm, solve_tdma_ps
-from .tin import solve_tin
 from .topology import Topology
-from .ula import solve_ula
 from .validate import run_validation
-
-SCHEME_CHOICES = ("tin", "noma", "tdma-ps", "tdma-pm")
 
 
 def _load_cfg(path: str | None) -> SystemConfig:
@@ -43,15 +39,7 @@ def _load_cfg(path: str | None) -> SystemConfig:
 
 def _solve(topology: Topology, scheme: str, config: SystemConfig, args) -> SchemeSolution:
     rng = np.random.default_rng(args.seed)
-    if args.baseline:
-        return solve_ula(topology, scheme, config, equal_time=args.equal_time)
-    if scheme == "tin":
-        return solve_tin(topology, config, rng=rng).to_solution()
-    if scheme == "noma":
-        return solve_noma(topology, config, rng=rng).to_solution()
-    if scheme == "tdma-ps":
-        return solve_tdma_ps(topology, config, rng=rng).to_solution()
-    return solve_tdma_pm(topology, config, rng=rng, equal_time=args.equal_time).to_solution()
+    return experiments._solve_one(scheme, args.baseline, topology, config, rng, args.equal_time)
 
 
 def _cmd_solve(args) -> int:
@@ -116,7 +104,7 @@ def _cmd_trace(args) -> int:
         topology = generate_topology(
             args.mode, config, rng, num_groups=args.groups, num_users=args.users
         )
-    schemes = args.schemes.split(",") if args.schemes else list(SCHEME_CHOICES)
+    schemes = args.schemes.split(",") if args.schemes else list(SCHEMES)
     solutions = []
     for scheme in schemes:
         sol = _solve(topology, scheme.strip(), config, args)
@@ -139,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one topology under one scheme")
     p.add_argument("--topology", required=True, help="topology YAML file")
     p.add_argument("--config", help="system config YAML file")
-    p.add_argument("--scheme", required=True, choices=SCHEME_CHOICES)
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--baseline", action="store_true", help="use the fixed-array baseline")
     p.add_argument("--equal-time", action="store_true", help="pin equal slot lengths (tdma-pm)")
     p.add_argument("--seed", type=int, default=0)

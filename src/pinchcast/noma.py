@@ -16,10 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .records import SchemeSolution, trace_summary
-from .seo import SweepTrace, hoe_sweep, random_placement, seo_sweep
+from .seo import SweepObjective, SweepTrace, random_placement
 from .topology import GroupGains, Placement, Topology
 
 
@@ -118,14 +119,13 @@ def _mmf_gamma(a_sorted: list[float], p_t: float, iters: int, rel_tol: float) ->
     if _required_total(inv_sorted, gamma_max) <= p_t:
         return gamma_max
     lo, hi = 0.0, gamma_max
-    width_tol = max(1e-15, rel_tol * gamma_max)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if _required_total(inv_sorted, mid) <= p_t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= width_tol:
+        if hi - lo <= rel_tol * hi:  # relative to the bracket, not to gamma_max
             break
     return lo
 
@@ -316,6 +316,50 @@ def two_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
     return rate
 
 
+def lone_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Rate of a single group holding the whole budget, over candidate columns."""
+    return lambda gain_matrix: np.log2(1.0 + p_t * gain_matrix[0])
+
+
+def noma_objective(num_groups: int, config: SystemConfig, *, use_hoe: bool = True) -> SweepObjective:
+    """Placement (or phase) sweep objective: the max-min cancellation rate.
+
+    One group gets the whole budget and two groups use the closed-form SINR,
+    both vectorized; larger instances run the scalar bisection, screened by
+    :func:`mmf_rate_bound_batch` when ``use_hoe`` is set.
+    """
+    p_t = config.power_budget_w
+    if num_groups == 1:
+        return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
+    if num_groups == 2:
+        return SweepObjective(exact_batch=two_group_rate_batch(p_t))
+    iters = config.gamma_bisect_iters
+
+    def exact(a: np.ndarray) -> float:
+        return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, iters, 1e-12))
+
+    return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t) if use_hoe else None)
+
+
+def noma_solution(
+    placement: Placement, gains: GroupGains, trace: SweepTrace, config: SystemConfig
+) -> NomaSolution:
+    """Equalized-SINR power split for the gains of a swept placement."""
+    gamma, powers = noma_mmf_bisection(
+        gains.a, config.power_budget_w, iters=config.gamma_bisect_iters
+    )
+    return NomaSolution(
+        equalized_sinr=gamma,
+        power_w=powers,
+        order=decoding_order(gains.a),
+        placement=placement,
+        gains=gains,
+        mmf_rate=math.log2(1.0 + gamma),
+        sic_feasibility_margin=sic_feasibility_margin(gains.a, powers),
+        trace=trace,
+    )
+
+
 def solve_noma(
     topology: Topology,
     config: SystemConfig,
@@ -327,47 +371,14 @@ def solve_noma(
 ) -> NomaSolution:
     """Joint placement and power optimization under cancellation decoding.
 
-    The decoding order is recomputed for every candidate placement.  Two
-    groups use the closed-form SINR as a vectorized sweep objective; larger
-    instances screen candidates with :func:`mmf_rate_bound_batch`, the same
-    equalized SINR solved over all candidates at once, so the scalar solver
-    runs only on candidates within floating-point slack of the best.
+    The decoding order is recomputed for every candidate placement; see
+    :func:`noma_objective` for the sweep objective.  Screening with the
+    equalized SINR solved over all candidates at once means the scalar
+    solver runs only on candidates within floating-point slack of the best.
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
-    p_t = config.power_budget_w
-    g = topology.num_groups
-
-    if g == 1:
-        batch = lambda A: np.log2(1.0 + p_t * A[0])  # noqa: E731
-        best, trace = seo_sweep(placement, topology, config, objective_batch=batch)
-    elif g == 2:
-        best, trace = seo_sweep(
-            placement, topology, config, objective_batch=two_group_rate_batch(p_t)
-        )
-    else:
-        iters = config.gamma_bisect_iters
-
-        def exact(a: np.ndarray) -> float:
-            a_sorted = sorted(a.tolist())
-            return math.log2(1.0 + _mmf_gamma(a_sorted, p_t, iters, 1e-12))
-
-        if use_hoe:
-            bound = mmf_rate_bound_batch(p_t)
-            best, trace = hoe_sweep(placement, topology, config, bound, exact)
-        else:
-            best, trace = seo_sweep(placement, topology, config, objective=exact)
-
-    gains = group_gains(best, topology, config)
-    gamma, powers = noma_mmf_bisection(gains.a, p_t, iters=config.gamma_bisect_iters)
-    return NomaSolution(
-        equalized_sinr=gamma,
-        power_w=powers,
-        order=decoding_order(gains.a),
-        placement=best,
-        gains=gains,
-        mmf_rate=math.log2(1.0 + gamma),
-        sic_feasibility_margin=sic_feasibility_margin(gains.a, powers),
-        trace=trace,
-    )
+    objective = noma_objective(topology.num_groups, config, use_hoe=use_hoe)
+    best, trace = seo._run_sweeps(placement, topology, config, objective)
+    return noma_solution(best, group_gains(best, topology, config), trace, config)

@@ -30,7 +30,8 @@ class SchemeSolution:
     ``placements`` holds one coordinate array per configured placement (a
     single entry except for slot-switched TDMA, which has one per group).
     ``tau`` is the time fraction each group transmits in (all ones for the
-    full-frame schemes).
+    full-frame schemes).  ``phases`` holds a fixed array's phase weights,
+    (N,) or, for slot-switched TDMA, (G, N).
     """
 
     scheme: str
@@ -76,7 +77,7 @@ class SchemeSolution:
             "traces": self.traces,
         }
         if self.phases is not None:
-            out["phases"] = [float(p) for p in self.phases]
+            out["phases"] = np.asarray(self.phases).tolist()
         if self.extras:
             out["extras"] = {
                 k: (v.tolist() if isinstance(v, np.ndarray) else v)

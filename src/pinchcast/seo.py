@@ -16,7 +16,10 @@ pair pass is exhaustive enumeration; a single antenna never runs it.
 Objectives operate on the per-group bottleneck-CNR vector of a candidate
 placement.  Scalar objectives map a (G,) gain vector to a float; batch
 objectives map the full (G, L) candidate-gain matrix to an (L,) value vector
-and enable fully vectorized sweeps for cheap objectives.
+and enable fully vectorized sweeps for cheap objectives.  A
+:class:`SweepObjective` bundles the direction, the exact objective and an
+optional screening bound; each scheme module builds its own once, and the
+placement sweep here and the fixed array's phase sweep both run it.
 
 ``hoe_sweep`` adds a two-stage screen: a cheap per-candidate upper bound is
 computed for all candidates first, and the exact objective is evaluated only
@@ -58,6 +61,27 @@ class CandidateGrid:
         return self.points.size
 
 
+@dataclass(frozen=True)
+class SweepObjective:
+    """What a sweep optimizes over per-group bottleneck-CNR vectors.
+
+    Give exactly one of ``exact`` (scalar) and ``exact_batch`` (vectorized
+    over candidate columns).  ``bound_batch`` screens a scalar ``exact`` that
+    is maximized: its value must dominate ``exact`` on every candidate.
+    """
+
+    maximize: bool = True
+    exact: ScalarObjective | None = None
+    exact_batch: BatchObjective | None = None
+    bound_batch: BatchObjective | None = None
+
+    def value(self, gains: np.ndarray) -> float:
+        """Objective of one (G,) gain vector."""
+        if self.exact is not None:
+            return float(self.exact(gains))
+        return float(self.exact_batch(gains[:, None])[0])
+
+
 @dataclass
 class SweepTrace:
     """Bookkeeping for one optimization run.
@@ -71,7 +95,6 @@ class SweepTrace:
     """
 
     objective: list[float] = field(default_factory=list)
-    accepted_x: list[float] = field(default_factory=list)
     stage2_evals: int = 0
     total_candidates: int = 0
     sweeps: int = 0
@@ -263,21 +286,19 @@ def _select_screened(
 
 
 def _select(
-    A: np.ndarray,
-    inc_j: int | None,
-    maximize: bool,
-    exact: ScalarObjective | None,
-    exact_batch: BatchObjective | None,
-    bound_batch: BatchObjective | None,
+    A: np.ndarray, inc_j: int | None, objective: SweepObjective
 ) -> tuple[int, float, int]:
     """Best candidate column of ``A`` (incumbent kept on ties) and the number
     of exact objective evaluations it took."""
-    if exact_batch is not None:
-        j, v = _select_batch(np.asarray(exact_batch(A), dtype=float), maximize, inc_j)
+    maximize, exact = objective.maximize, objective.exact
+    if objective.exact_batch is not None:
+        vals = np.asarray(objective.exact_batch(A), dtype=float)
+        j, v = _select_batch(vals, maximize, inc_j)
         return j, v, A.shape[1]
-    if bound_batch is None:
+    if objective.bound_batch is None:
         return _select_plain_scalar(A, exact, maximize, inc_j)
-    return _select_screened(A, exact, np.asarray(bound_batch(A), dtype=float), inc_j)
+    bounds = np.asarray(objective.bound_batch(A), dtype=float)
+    return _select_screened(A, exact, bounds, inc_j)
 
 
 def _pair_columns(points: np.ndarray, min_spacing_m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,11 +313,7 @@ def _run_sweeps(
     placement: Placement,
     topology: Topology,
     config: SystemConfig,
-    *,
-    maximize: bool,
-    exact: ScalarObjective | None = None,
-    exact_batch: BatchObjective | None = None,
-    bound_batch: BatchObjective | None = None,
+    objective: SweepObjective,
 ) -> tuple[Placement, SweepTrace]:
     placement.validate(config)
     x = placement.x_m.astype(float).copy()
@@ -310,19 +327,13 @@ def _run_sweeps(
 
     trace = SweepTrace()
 
-    def full_value(xs: np.ndarray) -> float:
-        gains = _gains_of(xs, users, noise, spans, config)
-        if exact is not None:
-            return float(exact(gains))
-        return float(exact_batch(gains[:, None])[0])
-
     def fixed_sum(others: np.ndarray) -> np.ndarray:
         if others.size:
             return path_terms(others, users, config).sum(axis=1)
         return np.zeros(users.shape[0], dtype=complex)
 
     def select(A: np.ndarray, inc_j: int | None) -> tuple[int, float]:
-        j, v, evals = _select(A, inc_j, maximize, exact, exact_batch, bound_batch)
+        j, v, evals = _select(A, inc_j, objective)
         trace.total_candidates += A.shape[1]
         trace.stage2_evals += evals
         return j, v
@@ -353,12 +364,11 @@ def _run_sweeps(
             j, v = select(A, inc_j)
             if j != inc_j:
                 x[i], x[i + 1] = grid.points[p[j]], grid.points[q[j]]
-                trace.accepted_x.extend((float(x[i]), float(x[i + 1])))
                 x.sort()
                 moved = True
         return moved, v
 
-    f_prev = full_value(x)
+    f_prev = objective.value(_gains_of(x, users, noise, spans, config))
     trace.objective.append(f_prev)
 
     for _ in range(config.max_outer_iters):
@@ -376,7 +386,6 @@ def _run_sweeps(
             A = _candidate_gains(fixed_sum(others), grid_terms[:, mask], noise, n, spans)
             j, v = select(A, inc_j)
             x[i] = cand_x[j]
-            trace.accepted_x.append(float(x[i]))
         x.sort()
         trace.sweeps += 1
         f_new = v  # objective of the placement after the final element update
@@ -419,12 +428,9 @@ def seo_sweep(
         raise ValueError(f"mode must be 'maximize' or 'minimize', got {mode!r}")
     if (objective is None) == (objective_batch is None):
         raise ValueError("provide exactly one of objective or objective_batch")
-    if objective_batch is not None and mode == "minimize":
-        return _run_sweeps(placement, topology, config, maximize=False, exact_batch=objective_batch)
-    if objective_batch is not None:
-        return _run_sweeps(placement, topology, config, maximize=True, exact_batch=objective_batch)
     return _run_sweeps(
-        placement, topology, config, maximize=(mode == "maximize"), exact=objective
+        placement, topology, config,
+        SweepObjective(maximize=(mode == "maximize"), exact=objective, exact_batch=objective_batch),
     )
 
 
@@ -445,5 +451,5 @@ def hoe_sweep(
     ``exact`` alone.
     """
     return _run_sweeps(
-        placement, topology, config, maximize=True, exact=exact, bound_batch=upper_bound
+        placement, topology, config, SweepObjective(exact=exact, bound_batch=upper_bound)
     )

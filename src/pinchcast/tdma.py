@@ -21,12 +21,13 @@ from typing import Callable
 
 import numpy as np
 
+from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .errors import PinchcastError
-from .noma import mmf_rate_bound_batch
+from .noma import lone_group_rate_batch, mmf_rate_bound_batch
 from .records import SchemeSolution, trace_summary
-from .seo import SweepTrace, hoe_sweep, random_placement, seo_sweep
+from .seo import SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
 
 LN2 = math.log(2.0)
@@ -497,6 +498,68 @@ class TdmaSolution:
         )
 
 
+def pm_objective(
+    num_groups: int, config: SystemConfig, *, use_hoe: bool = True, equal_time: bool = False
+) -> SweepObjective:
+    """Shared-placement (or phase) sweep objective: the frame's common rate.
+
+    ``equal_time`` pins every slot to 1/G, whose closed-form rate is a
+    vectorized objective.  Otherwise more than one group runs
+    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch` when
+    ``use_hoe`` is set.  A lone group (also each slot of the slot-switched
+    protocol) holds the whole frame and budget.
+    """
+    p_t = config.power_budget_w
+    g = num_groups
+    if equal_time and g > 1:
+        def eq_rate(gain_matrix: np.ndarray) -> np.ndarray:
+            f_a = np.sum(1.0 / gain_matrix, axis=0)
+            return np.log2(1.0 + g * p_t / f_a) / g
+
+        return SweepObjective(exact_batch=eq_rate)
+    if g == 1:
+        return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
+    bound = pm_rate_bound_batch(p_t) if use_hoe else None
+    return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=bound)
+
+
+def tdma_solution(
+    protocol: str,
+    placements: list[Placement],
+    gains: np.ndarray,
+    traces: list[SweepTrace],
+    config: SystemConfig,
+    *,
+    equal_time: bool = False,
+) -> TdmaSolution:
+    """Time and energy split for the per-group gains of swept placements.
+
+    ``equal_time`` (more than one group) uses the closed-form equal-slot
+    powers; otherwise the joint allocator runs.
+    """
+    p_t = config.power_budget_w
+    g = gains.size
+    equal_time = equal_time and g > 1
+    if equal_time:
+        powers, t_star = equal_time_power(gains, p_t)
+        tau = np.full(g, 1.0 / g)
+        alloc = TimeEnergyAllocation(tau=tau, energy_w=tau * powers, nu=math.nan)
+    else:
+        t_star, alloc = pm_resource_allocation(
+            gains, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
+        )
+    return TdmaSolution(
+        protocol=protocol,
+        placements=placements,
+        allocation=alloc,
+        gains=gains,
+        mmf_rate=t_star,
+        per_group_rates=alloc.rates(gains),
+        traces=traces,
+        equal_time=equal_time,
+    )
+
+
 def solve_tdma_ps(
     topology: Topology,
     config: SystemConfig,
@@ -512,33 +575,19 @@ def solve_tdma_ps(
     (e.g. a shared-placement solution) instead of random initials.
     """
     g = topology.num_groups
-    p_t = config.power_budget_w
     rng = np.random.default_rng() if rng is None else rng
+    objective = pm_objective(1, config)
     placements: list[Placement] = []
     traces: list[SweepTrace] = []
     gains = np.empty(g)
-    def own_rate(gain_matrix: np.ndarray) -> np.ndarray:
-        return np.log2(1.0 + p_t * gain_matrix[0])
-
     for gi in range(g):
         start = seed_placement if seed_placement is not None else random_placement(config, rng, n_antennas)
         # the other groups' users do not enter this group's objective
-        best, trace = seo_sweep(start, topology.subset(gi), config, objective_batch=own_rate)
+        best, trace = seo._run_sweeps(start, topology.subset(gi), config, objective)
         placements.append(best)
         traces.append(trace)
         gains[gi] = group_gains(best, topology, config).a[gi]
-    t_star, alloc = pm_resource_allocation(
-        gains, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
-    )
-    return TdmaSolution(
-        protocol="PS",
-        placements=placements,
-        allocation=alloc,
-        gains=gains,
-        mmf_rate=t_star,
-        per_group_rates=alloc.rates(gains),
-        traces=traces,
-    )
+    return tdma_solution("PS", placements, gains, traces, config)
 
 
 def solve_tdma_pm(
@@ -552,62 +601,16 @@ def solve_tdma_pm(
     equal_time: bool = False,
 ) -> TdmaSolution:
     """Shared-placement protocol: one placement serves every slot, optimized
-    against the joint time/energy allocator.
+    against the joint time/energy allocator (see :func:`pm_objective`).
 
-    ``equal_time`` pins all slot lengths to 1/G and uses the closed-form
-    power split, making the placement search a vectorized sweep.  Otherwise
-    candidates are screened with :func:`pm_rate_bound_batch`: the max-min
+    Candidates are screened with :func:`pm_rate_bound_batch`: the max-min
     NOMA rate, tightened by a weak-duality bound of the allocator on the
     candidates that could still win.
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
-    p_t = config.power_budget_w
-    g = topology.num_groups
-
-    if equal_time and g > 1:
-        def eq_rate(gain_matrix: np.ndarray) -> np.ndarray:
-            f_a = np.sum(1.0 / gain_matrix, axis=0)
-            return np.log2(1.0 + g * p_t / f_a) / g
-
-        best, trace = seo_sweep(placement, topology, config, objective_batch=eq_rate)
-        gains = group_gains(best, topology, config)
-        powers, rate = equal_time_power(gains.a, p_t)
-        tau = np.full(g, 1.0 / g)
-        alloc = TimeEnergyAllocation(tau=tau, energy_w=tau * powers, nu=math.nan)
-        return TdmaSolution(
-            protocol="PM",
-            placements=[best],
-            allocation=alloc,
-            gains=gains.a,
-            mmf_rate=rate,
-            per_group_rates=alloc.rates(gains.a),
-            traces=[trace],
-            equal_time=True,
-        )
-
-    if g == 1:
-        batch = lambda A: np.log2(1.0 + p_t * A[0])  # noqa: E731
-        best, trace = seo_sweep(placement, topology, config, objective_batch=batch)
-    else:
-        solver = _PmRateSolver(p_t)
-        if use_hoe:
-            bound = pm_rate_bound_batch(p_t)
-            best, trace = hoe_sweep(placement, topology, config, bound, solver.rate)
-        else:
-            best, trace = seo_sweep(placement, topology, config, objective=solver.rate)
-
-    gains = group_gains(best, topology, config)
-    t_star, alloc = pm_resource_allocation(
-        gains.a, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
-    )
-    return TdmaSolution(
-        protocol="PM",
-        placements=[best],
-        allocation=alloc,
-        gains=gains.a,
-        mmf_rate=t_star,
-        per_group_rates=alloc.rates(gains.a),
-        traces=[trace],
-    )
+    objective = pm_objective(topology.num_groups, config, use_hoe=use_hoe, equal_time=equal_time)
+    best, trace = seo._run_sweeps(placement, topology, config, objective)
+    gains = group_gains(best, topology, config).a
+    return tdma_solution("PM", [best], gains, [trace], config, equal_time=equal_time)

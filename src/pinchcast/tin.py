@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .records import SchemeSolution, trace_summary
-from .seo import SweepTrace, random_placement, seo_sweep
+from .seo import SweepObjective, SweepTrace, random_placement
 from .topology import GroupGains, Placement, Topology
 
 
@@ -89,6 +90,28 @@ class TinSolution:
         )
 
 
+def tin_objective() -> SweepObjective:
+    """Placement (or phase) sweep objective: minimize the inverse-CNR sum."""
+    return SweepObjective(maximize=False, exact_batch=inv_cnr_sum_batch)
+
+
+def tin_solution(
+    placement: Placement, gains: GroupGains, trace: SweepTrace, config: SystemConfig
+) -> TinSolution:
+    """Closed-form power split for the gains of a swept placement."""
+    gamma, powers = tin_power(gains.a, config.power_budget_w)
+    g = gains.num_groups
+    return TinSolution(
+        equalized_sinr=gamma,
+        power_w=powers,
+        placement=placement,
+        gains=gains,
+        mmf_rate=math.log2(1.0 + gamma),
+        ceiling_rate=tin_ceiling(g) if g >= 2 else math.inf,
+        trace=trace,
+    )
+
+
 def solve_tin(
     topology: Topology,
     config: SystemConfig,
@@ -102,19 +125,5 @@ def solve_tin(
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
-    best, trace = seo_sweep(
-        placement, topology, config, mode="minimize", objective_batch=inv_cnr_sum_batch
-    )
-    gains = group_gains(best, topology, config)
-    gamma, powers = tin_power(gains.a, config.power_budget_w)
-    g = gains.num_groups
-    ceiling = tin_ceiling(g) if g >= 2 else math.inf
-    return TinSolution(
-        equalized_sinr=gamma,
-        power_w=powers,
-        placement=best,
-        gains=gains,
-        mmf_rate=math.log2(1.0 + gamma),
-        ceiling_rate=ceiling,
-        trace=trace,
-    )
+    best, trace = seo._run_sweeps(placement, topology, config, tin_objective())
+    return tin_solution(best, group_gains(best, topology, config), trace, config)

@@ -9,33 +9,24 @@ resource allocation is shared unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import distances
 from .config import SystemConfig
 from .errors import PinchcastError
-from .noma import (
-    _mmf_gamma,
-    decoding_order,
-    noma_mmf_bisection,
-    mmf_rate_bound_batch,
-    noma_sinrs,
-    sic_feasibility_margin,
-    two_group_rate_batch,
-)
-from .records import SchemeSolution, trace_summary
-from .seo import SweepTrace, _candidate_gains, _group_min, _select, group_layout
-from .tdma import (
-    TimeEnergyAllocation,
-    _PmRateSolver,
-    equal_time_power,
-    pm_rate_bound_batch,
-    pm_resource_allocation,
-)
-from .tin import inv_cnr_sum_batch, tin_power, tin_sinrs
-from .topology import Topology
+from .noma import noma_objective, noma_solution
+from .records import SchemeSolution
+from .seo import SweepObjective, SweepTrace, _candidate_gains, _group_min, _select, group_layout
+from .tdma import pm_objective, tdma_solution
+from .tin import tin_objective, tin_solution
+from .topology import GroupGains, Placement, Topology
+
+# unused here since the schemes' objectives and allocations moved to their
+# modules; perfbench/tracing.py still wraps these names in this module
+from .noma import _mmf_gamma, mmf_rate_bound_batch, noma_mmf_bisection  # noqa: F401
+from .tdma import pm_rate_bound_batch, pm_resource_allocation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,19 +75,11 @@ def ula_effective_channel(phases: np.ndarray, user_xyz, config: SystemConfig) ->
 
 
 def _phase_sweep(
-    topology: Topology,
-    config: SystemConfig,
-    ula: UlaConfig,
-    *,
-    maximize: bool = True,
-    exact=None,
-    exact_batch=None,
-    bound_batch=None,
-    init_phases: np.ndarray | None = None,
+    topology: Topology, config: SystemConfig, ula: UlaConfig, objective: SweepObjective
 ) -> tuple[np.ndarray, SweepTrace]:
     """Element-wise phase search mirroring the placement sweep mechanics."""
     n = ula.num_elements
-    phases = np.zeros(n) if init_phases is None else np.asarray(init_phases, dtype=float).copy()
+    phases = np.zeros(n)
     order, spans = group_layout(topology)
     elem = _element_channels(ula, topology, config)[order]  # (K, N), group by group
     codebook = ula.codebook()
@@ -104,17 +87,8 @@ def _phase_sweep(
     noise = topology.noise_w[order]
     trace = SweepTrace()
 
-    def gains_now() -> np.ndarray:
-        h = (elem * np.exp(1j * phases)[None, :]).sum(axis=1)
-        cnr = (h.real**2 + h.imag**2) / (n * noise)
-        return _group_min(cnr, spans)
-
-    def value_of(gains: np.ndarray) -> float:
-        if exact is not None:
-            return float(exact(gains))
-        return float(exact_batch(gains[:, None])[0])
-
-    f_prev = value_of(gains_now())
+    h = elem.sum(axis=1)  # every phase starts at zero
+    f_prev = objective.value(_group_min((h.real**2 + h.imag**2) / (n * noise), spans))
     trace.objective.append(f_prev)
     for _ in range(config.max_outer_iters):
         for i in range(n):
@@ -125,11 +99,10 @@ def _phase_sweep(
             inc_hits = np.nonzero(codebook == phases[i])[0]
             inc_j = int(inc_hits[0]) if inc_hits.size else None
             A = _candidate_gains(h_bar, cand_terms, noise, n, spans)
-            j, v, evals = _select(A, inc_j, maximize, exact, exact_batch, bound_batch)
+            j, v, evals = _select(A, inc_j, objective)
             trace.total_candidates += A.shape[1]
             trace.stage2_evals += evals
             phases[i] = codebook[j]
-            trace.accepted_x.append(float(phases[i]))
         trace.sweeps += 1
         f_new = v
         trace.objective.append(f_new)
@@ -160,124 +133,37 @@ def solve_ula(
 ) -> SchemeSolution:
     """Optimize the fixed array's phases for the chosen scheme.
 
-    The slot-switched protocol re-optimizes phases per group, since phase
-    shifts are electronic and can change between slots.
+    The phase sweep runs the same objective as the scheme's movable-antenna
+    solver and the swept gains go through the same resource allocation.  The
+    slot-switched protocol re-optimizes phases per group on that group's
+    users, since phase shifts are electronic and can change between slots.
     """
     ula = UlaConfig.from_system(config, n_elements)
-    p_t = config.power_budget_w
+    array = Placement(x_m=ula.positions())
     g = topology.num_groups
-    ones = np.ones(g)
-    positions = ula.positions()
+    if scheme == "tdma-ps":
+        runs = [_phase_sweep(topology.subset(gi), config, ula, pm_objective(1, config)) for gi in range(g)]
+        phases = np.array([ph for ph, _ in runs])
+        gains = np.array(
+            [_group_gains_for_phases(ph, topology, config, ula)[gi] for gi, (ph, _) in enumerate(runs)]
+        )
+        sol = tdma_solution("PS", [array] * g, gains, [tr for _, tr in runs], config)
+        return replace(sol.to_solution(), baseline=True, phases=phases)
 
     if scheme == "tin":
-        phases, trace = _phase_sweep(
-            topology, config, ula, maximize=False, exact_batch=inv_cnr_sum_batch
-        )
-        gains = _group_gains_for_phases(phases, topology, config, ula)
-        gamma, powers = tin_power(gains, p_t)
-        rates = np.log2(1.0 + tin_sinrs(gains, powers))
-        return SchemeSolution(
-            scheme="tin", baseline=True, mmf_rate=math.log2(1.0 + gamma),
-            per_group_rates=rates, power_w=powers, tau=ones,
-            placements=[positions], phases=phases,
-            iterations=trace.sweeps, converged=trace.converged,
-            traces=[trace_summary(trace)],
-            extras={"equalized_sinr": gamma},
-        )
-
-    if scheme == "noma":
-        if g <= 2:
-            batch = (
-                (lambda A: np.log2(1.0 + p_t * A[0]))
-                if g == 1
-                else two_group_rate_batch(p_t)
-            )
-            phases, trace = _phase_sweep(topology, config, ula, exact_batch=batch)
-        else:
-            iters = config.gamma_bisect_iters
-
-            def exact(a: np.ndarray) -> float:
-                return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, iters, 1e-12))
-
-            bound = mmf_rate_bound_batch(p_t) if use_hoe else None
-            phases, trace = _phase_sweep(
-                topology, config, ula, exact=exact, bound_batch=bound
-            )
-        gains = _group_gains_for_phases(phases, topology, config, ula)
-        gamma, powers = noma_mmf_bisection(gains, p_t, iters=config.gamma_bisect_iters)
-        rates = np.log2(1.0 + noma_sinrs(gains, powers))
-        return SchemeSolution(
-            scheme="noma", baseline=True, mmf_rate=math.log2(1.0 + gamma),
-            per_group_rates=rates, power_w=powers, tau=ones,
-            placements=[positions], phases=phases,
-            iterations=trace.sweeps, converged=trace.converged,
-            traces=[trace_summary(trace)],
-            extras={
-                "equalized_sinr": gamma,
-                "decoding_order": decoding_order(gains).order.tolist(),
-                "sic_feasibility_margin": sic_feasibility_margin(gains, powers),
-            },
-        )
-
-    if scheme == "tdma-pm":
-        if equal_time and g > 1:
-            def eq_rate(gain_matrix: np.ndarray) -> np.ndarray:
-                f_a = np.sum(1.0 / gain_matrix, axis=0)
-                return np.log2(1.0 + g * p_t / f_a) / g
-
-            phases, trace = _phase_sweep(topology, config, ula, exact_batch=eq_rate)
-            gains = _group_gains_for_phases(phases, topology, config, ula)
-            powers, rate = equal_time_power(gains, p_t)
-            tau = np.full(g, 1.0 / g)
-            alloc = TimeEnergyAllocation(tau=tau, energy_w=tau * powers, nu=math.nan)
-            t_star = rate
-        else:
-            if g == 1:
-                phases, trace = _phase_sweep(
-                    topology, config, ula, exact_batch=lambda A: np.log2(1.0 + p_t * A[0])
-                )
-            else:
-                solver = _PmRateSolver(p_t)
-                bound = pm_rate_bound_batch(p_t) if use_hoe else None
-                phases, trace = _phase_sweep(
-                    topology, config, ula, exact=solver.rate, bound_batch=bound
-                )
-            gains = _group_gains_for_phases(phases, topology, config, ula)
-            t_star, alloc = pm_resource_allocation(
-                gains, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
-            )
-        return SchemeSolution(
-            scheme="tdma-pm", baseline=True, mmf_rate=t_star,
-            per_group_rates=alloc.rates(gains), power_w=alloc.power_w, tau=alloc.tau,
-            placements=[positions], phases=phases,
-            iterations=trace.sweeps, converged=trace.converged,
-            traces=[trace_summary(trace)],
-            extras={"nu": alloc.nu, "equal_time": equal_time},
-        )
-
-    if scheme == "tdma-ps":
-        gains = np.empty(g)
-        all_phases = np.zeros((g, ula.num_elements))
-        traces = []
-        for gi in range(g):
-            def own_rate(gain_matrix: np.ndarray, _gi: int = gi) -> np.ndarray:
-                return np.log2(1.0 + p_t * gain_matrix[_gi])
-
-            phases, trace = _phase_sweep(topology, config, ula, exact_batch=own_rate)
-            all_phases[gi] = phases
-            traces.append(trace)
-            gains[gi] = _group_gains_for_phases(phases, topology, config, ula)[gi]
-        t_star, alloc = pm_resource_allocation(
-            gains, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
-        )
-        return SchemeSolution(
-            scheme="tdma-ps", baseline=True, mmf_rate=t_star,
-            per_group_rates=alloc.rates(gains), power_w=alloc.power_w, tau=alloc.tau,
-            placements=[positions] * g, phases=all_phases,
-            iterations=max(t.sweeps for t in traces),
-            converged=all(t.converged for t in traces),
-            traces=[trace_summary(t) for t in traces],
-            extras={"nu": alloc.nu},
-        )
-
-    raise PinchcastError(f"unknown scheme {scheme!r}")
+        objective = tin_objective()
+    elif scheme == "noma":
+        objective = noma_objective(g, config, use_hoe=use_hoe)
+    elif scheme == "tdma-pm":
+        objective = pm_objective(g, config, use_hoe=use_hoe, equal_time=equal_time)
+    else:
+        raise PinchcastError(f"unknown scheme {scheme!r}")
+    phases, trace = _phase_sweep(topology, config, ula, objective)
+    gains = GroupGains(a=_group_gains_for_phases(phases, topology, config, ula))
+    if scheme == "tin":
+        sol = tin_solution(array, gains, trace, config)
+    elif scheme == "noma":
+        sol = noma_solution(array, gains, trace, config)
+    else:
+        sol = tdma_solution("PM", [array], gains.a, [trace], config, equal_time=equal_time)
+    return replace(sol.to_solution(), baseline=True, phases=phases)

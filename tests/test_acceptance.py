@@ -325,12 +325,12 @@ def test_c09_sweep_vs_exhaustive_small_instances():
     _report(
         9, ok,
         f"(zero-gap on {zero_frac:.0%} of instances, worst gap {worst:.1%}; "
-        "single-start element-wise search is only coordinate-wise optimal, see notes)",
+        "the pair pass enumerates every two-antenna placement)",
     )
     assert ok, (
         f"zero-gap fraction {zero_frac:.0%} (need >= 90%), worst gap {worst:.1%} (need <= 2%): "
-        "a single random start reaches the global grid optimum on far fewer than 90% of "
-        "two-antenna instances; the sweep itself is verified coordinate-wise optimal in test_seo"
+        "the sweep missed the enumerated grid optimum; with one or two antennas the "
+        "element-wise sweep closed by a pair pass should reach it on every instance"
     )
 
 

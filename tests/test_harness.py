@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -23,7 +24,7 @@ from pinchcast import (
     solve_tin,
     watts_to_dbm,
 )
-from pinchcast.experiments import ExperimentResult, spec_point_config
+from pinchcast.experiments import SCHEMES, TOPOLOGY_MODES, ExperimentResult, _solve_one, spec_point_config
 
 
 class TestUnits:
@@ -161,6 +162,17 @@ class TestRunExperiment:
         flags = {r["baseline"] for r in res.rows}
         assert flags == {False, True}
 
+    def test_every_scheme_solves_across_powers_and_group_counts(self):
+        # movable and fixed-array solves give a finite positive rate well
+        # beyond the presets' -20..30 dBm, for one to six groups
+        for mode, dbm, g in itertools.product(TOPOLOGY_MODES, np.arange(-40.0, 51.0, 10.0), range(1, 7)):
+            cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(dbm)
+            topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
+            for baseline, scheme in itertools.product((False, True), SCHEMES):
+                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(0), False)
+                case = (mode, dbm, g, scheme, baseline)
+                assert math.isfinite(sol.mmf_rate) and sol.mmf_rate > 0, case
+
     def test_parallel_matches_serial(self):
         spec = self._tiny_spec(trials=4)
         serial = run_experiment(spec, self._tiny_config(), workers=1)
@@ -253,6 +265,23 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["scheme"] == "tin"
         assert data["mmf_rate"] > 0
+
+    def test_baseline_slot_switched_json_round_trip(self, tmp_path):
+        # slot-switched phases are (G, N) and are written as nested lists
+        topo_path = tmp_path / "topo.yaml"
+        topo_path.write_text("groups:\n  - [[2.0, 1.0], [4.0, 5.0]]\n  - [[8.0, 3.0]]\n")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 30\nnum_antennas: 3\n")
+        out = tmp_path / "sol.json"
+        r = self._run(
+            "solve", "--topology", str(topo_path), "--config", str(cfg_path),
+            "--scheme", "tdma-ps", "--baseline", "--out", str(out),
+        )
+        assert r.returncode == 0, r.stderr
+        data = json.loads(out.read_text())
+        assert data["scheme"] == "tdma-ps" and data["baseline"]
+        assert np.asarray(data["phases"]).shape == (2, 3)
+        assert data["mmf_rate"] == pytest.approx(min(data["per_group_rates"]), rel=1e-6)
 
     def test_experiment_with_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.yaml"

@@ -178,6 +178,41 @@ class TestMmfBisection:
             _, _, gamma = two_group_power(a_s, a_w, p_t)
             assert gamma / math.sqrt(p_t * a_s) == pytest.approx(1.0, rel=0.05)
 
+    @staticmethod
+    def _worst_shortfall(rng, draws, log_gain, log_p_t):
+        # relative shortfall of the scalar bisection behind a 400-step
+        # bisection run to adjacent floats, over G = 2..6
+        worst = 0.0
+        for g in range(2, 7):
+            n = draws // 5
+            a = np.sort(10.0 ** rng.uniform(*log_gain, (g, n)), axis=0)
+            p_t = 10.0 ** rng.uniform(*log_p_t, n)
+            lo, hi = np.zeros(n), p_t * a[0]
+            for _ in range(400):
+                mid = 0.5 * (lo + hi)
+                total = np.zeros(n)
+                for inv_k in (1.0 / a)[::-1]:
+                    total += mid * (inv_k + total)
+                lo, hi = np.where(total <= p_t, mid, lo), np.where(total <= p_t, hi, mid)
+            got = np.array([_mmf_gamma(a[:, j].tolist(), p_t[j], 60, 1e-12) for j in range(n)])
+            worst = max(worst, float(np.max((lo - got) / lo)))
+        return worst
+
+    def test_bisection_stops_relative_to_the_root(self):
+        # the bracket stops at 1e-12 of its upper end, not of p_t * min(a):
+        # a stop relative to min(a) left the root short by up to 2e-10 in the
+        # presets' range and 3e-5 at high SNR, where the root lies far below
+        rng = np.random.default_rng(31)
+        presets = self._worst_shortfall(rng, 3000, (1.0, 5.5), (-5.0, 0.0))
+        assert presets <= 1e-12 * (1.0 + 1e-9)
+        # gains 1e6..1e12 /W: 60 halvings end before the relative stop
+        high_snr = self._worst_shortfall(rng, 3000, (6.0, 12.0), (-3.0, 0.0))
+        assert high_snr <= 1e-10
+        # SINRs of 1e-16..1e-8: an absolute 1e-15 floor on the bracket
+        # returned 0 whenever p_t * min(a) fell below it
+        low_snr = self._worst_shortfall(rng, 3000, (-2.0, 2.0), (-14.0, -10.0))
+        assert low_snr <= 1e-12 * (1.0 + 1e-9)
+
 
 class TestMmfRateBound:
     # candidate-gain matrices spanning the bottleneck CNRs of the presets

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,8 +14,10 @@ from pinchcast import (
     tin_ceiling,
     ula_effective_channel,
 )
+from pinchcast import generate_topology
 from pinchcast.channel import distances
-from pinchcast.ula import _group_gains_for_phases
+from pinchcast.seo import SweepObjective
+from pinchcast.ula import _group_gains_for_phases, _phase_sweep
 
 from conftest import make_topology
 
@@ -122,6 +125,32 @@ class TestSolveUla:
         assert sol.phases.shape == (3, 3)
         # per-group phase sets generically differ
         assert not np.allclose(sol.phases[0], sol.phases[1])
+
+    def test_tdma_ps_phases_equal_full_topology_sweep_of_one_group(self):
+        # each slot's phases are swept on its group's users alone; a sweep
+        # over all users that scores only that group picks the same phases
+        cfg = SystemConfig(grid_points=32, num_antennas=3)
+        topo = make_topology(np.random.default_rng(8), cfg, [2, 3, 2])
+        sol = solve_ula(topo, "tdma-ps", cfg)
+        p_t = cfg.power_budget_w
+        for gi in range(3):
+            own_rate = SweepObjective(exact_batch=lambda A, _g=gi: np.log2(1.0 + p_t * A[_g]))
+            phases, trace = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), own_rate)
+            assert np.array_equal(sol.phases[gi], phases)
+            assert sol.traces[gi]["objective"] == trace.objective
+
+    def test_screened_and_plain_phase_sweeps_agree(self):
+        # the screening bounds never change the selected phases
+        cases = [("noma", g) for g in (3, 4, 5)] + [("tdma-pm", g) for g in (2, 3, 4)]
+        for mode, dbm, (scheme, g), seed in itertools.product(
+            ("uniform_random", "heterogeneous_clusters"), (-20.0, 10.0, 30.0), cases, (0, 1)
+        ):
+            cfg = SystemConfig(grid_points=40, num_antennas=4).with_power_dbm(dbm)
+            topo = generate_topology(mode, cfg, np.random.default_rng(seed), num_groups=g, num_users=2 * g)
+            hoe = solve_ula(topo, scheme, cfg, use_hoe=True)
+            plain = solve_ula(topo, scheme, cfg, use_hoe=False)
+            assert np.array_equal(hoe.phases, plain.phases), (mode, dbm, scheme, g, seed)
+            assert hoe.mmf_rate == plain.mmf_rate
 
     def test_tin_ceiling_shared_with_movable_antennas(self):
         # at high power both architectures saturate at the same interference cap
