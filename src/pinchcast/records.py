@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -79,11 +80,18 @@ class SchemeSolution:
         if self.phases is not None:
             out["phases"] = np.asarray(self.phases).tolist()
         if self.extras:
-            out["extras"] = {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.extras.items()
-            }
+            out["extras"] = {k: _json_value(v) for k, v in self.extras.items()}
         return out
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+
+
+def _json_value(v: Any) -> Any:
+    # strict JSON has no inf or nan: a one-group TIN ceiling (inf) or an
+    # equal-slot multiplier (nan) is written as null
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v

@@ -75,7 +75,11 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
     ``_omega`` is convex and increasing, so Newton descends monotonically onto
     the root from any point to its right, and a step from the left lands to
     its right.  The cold start lies right of the root and caps every iterate,
-    so a far-off warm ``seed`` cannot overshoot.
+    so a far-off warm ``seed`` cannot overshoot.  Near the root rounding can
+    make the iterate cycle through two or three values a few ulps apart
+    without a step small enough to stop.  The iteration is a fixed map, so
+    such a cycle repeats forever; a rounding-level step back to either of the
+    two iterates before it ends the loop.
     """
     if y <= 0.0:
         raise ValueError("omega inverse requires a positive target")
@@ -84,6 +88,7 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
     else:
         u_max = min(math.log2(y + 2.0), _U_CAP)
     u = seed if seed is not None and 0.0 < seed < u_max else u_max
+    u1 = u2 = 0.0  # iterates left by the last two rounding-level steps
     for _ in range(100):
         v = LN2 * u
         em1 = math.expm1(v)
@@ -93,10 +98,23 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
             u_new = 0.5 * u
         elif u_new > u_max:
             u_new = u_max
-        if abs(u_new - u) <= 1e-15 * u:
-            return u_new
+        step = abs(u_new - u)
+        if step <= 1e-12 * u:  # tested first, so larger steps cost no more
+            if step <= 1e-15 * u or u_new == u1 or u_new == u2:
+                return u_new
+            u2, u1 = u1, u
         u = u_new
     return u
+
+
+def _omega_of_v(v: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    # elementwise _omega at v = u ln2 given em1 = expm1(v); the series runs
+    # only on the entries that need it
+    w = em1 * (v - 1.0) + v
+    small = v < 0.1
+    if small.any():
+        w[small] = _omega_series(v[small])
+    return w
 
 
 def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
@@ -113,7 +131,7 @@ def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarra
     for _ in range(100):
         v = LN2 * u
         em1 = np.expm1(v)
-        w = np.where(v < 0.1, _omega_series(v), em1 * (v - 1.0) + v)
+        w = _omega_of_v(v, em1)
         u_new = u - (w - y) / (LN2 * v * (em1 + 1.0))
         u_new = np.where(u_new <= 0.0, 0.5 * u, np.minimum(u_new, u_max))
         done = np.all(np.abs(u_new - u) <= 1e-12 * u)
@@ -123,7 +141,9 @@ def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarra
     return u
 
 
-def _frontier_dual_bound(gain_matrix: np.ndarray, p_t: float, steps: int = 3) -> np.ndarray:
+def _frontier_dual_bound(
+    gain_matrix: np.ndarray, p_t: float, steps: int = 3, floor: float = -np.inf
+) -> np.ndarray:
     """Weak-duality upper bound on the shared-placement rate of each column.
 
     Relaxing the unit frame with a multiplier nu > 0 gives, for every
@@ -132,16 +152,18 @@ def _frontier_dual_bound(gain_matrix: np.ndarray, p_t: float, steps: int = 3) ->
     Hence t <= (p_t + nu) / sum_g c_g(nu) for every nu, with equality at the
     optimal multiplier.  ``nu`` starts from the equal-slot allocation and
     takes a few Newton steps on energy(nu) = p_t; the smallest bound met on
-    the way is returned.  Columns where a slot exponent hits its cap get
-    ``inf`` (no bound).
+    the way is returned.  A column whose bound falls below ``floor`` takes
+    no further steps and keeps that (still valid) bound.  Columns where a
+    slot exponent hits its cap get ``inf`` (no bound).
     """
     a = np.asarray(gain_matrix, dtype=float)
     g = a.shape[0]
     t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / a, axis=0)) / g
     v = LN2 * g * t_eq
-    w = np.where(v < 0.1, _omega_series(v), np.expm1(v) * (v - 1.0) + v)
+    w = _omega_of_v(v, np.expm1(v))
     nu = np.exp(np.mean(np.log(w / a), axis=0))  # geometric mean of the slot multipliers
     best = np.full(a.shape[1], np.inf)
+    live = np.arange(a.shape[1])  # columns still above the floor
     u = None
     with np.errstate(all="ignore"):
         for k in range(steps + 1):
@@ -149,9 +171,12 @@ def _frontier_dual_bound(gain_matrix: np.ndarray, p_t: float, steps: int = 3) ->
             em1 = np.expm1(LN2 * u)
             dual = (p_t + nu) / np.sum((em1 / a + nu) / u, axis=0)
             dual[np.any(u >= _U_CAP, axis=0)] = np.inf
-            best = np.fmin(best, dual)
+            best[live] = np.fmin(best[live], dual)
             if k == steps:
                 break
+            keep = best[live] >= floor
+            if not keep.all():
+                live, a, nu, u, em1 = live[keep], a[:, keep], nu[keep], u[:, keep], em1[:, keep]
             # Newton in log nu on log energy(nu) = log p_t, as in _PmRateSolver._state
             t = 1.0 / np.sum(1.0 / u, axis=0)
             e_sum = np.sum(em1 / (u * a), axis=0)
@@ -176,8 +201,10 @@ def pm_rate_bound_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
     dominates time sharing).  Columns whose NOMA bound reaches the best
     equal-slot rate, a feasible and hence attainable rate, are tightened
     with :func:`_frontier_dual_bound`; the others cannot be selected anyway.
-    The dual pass costs about as much as a few exact evaluations, so it is
-    skipped when no more than ``_DUAL_MIN_COLS`` columns reach that rate.
+    For the same reason the dual refines a column only while its bound
+    stays at or above that rate.  The dual pass costs about as much as a
+    few exact evaluations, so it is skipped when no more than
+    ``_DUAL_MIN_COLS`` columns reach that rate.
     """
     noma_bound = mmf_rate_bound_batch(p_t)
 
@@ -188,10 +215,14 @@ def pm_rate_bound_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
         if g == 1:
             return b
         t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / a, axis=0)) / g
-        cols = np.flatnonzero(b >= t_eq.max())
+        floor = t_eq.max()
+        cols = np.flatnonzero(b >= floor)
         if cols.size <= _DUAL_MIN_COLS:
             return b
-        dual = _frontier_dual_bound(a[:, cols], p_t) * (1.0 + _DUAL_RTOL)
+        # the floor is compared before the slack, so a column that stops
+        # early still ends below t_eq.max() once slacked
+        dual = _frontier_dual_bound(a[:, cols], p_t, floor=floor / (1.0 + _DUAL_RTOL))
+        dual *= 1.0 + _DUAL_RTOL
         b[cols] = np.fmin(b[cols], dual)
         return b
 

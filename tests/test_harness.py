@@ -283,6 +283,27 @@ class TestCli:
         assert np.asarray(data["phases"]).shape == (2, 3)
         assert data["mmf_rate"] == pytest.approx(min(data["per_group_rates"]), rel=1e-6)
 
+    def test_one_group_tin_json_is_strict(self, tmp_path):
+        # a lone group has no interference ceiling (inf); strict JSON has no
+        # Infinity token, so the file must carry null there
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        topo_path = tmp_path / "topo.yaml"
+        topo_path.write_text("groups:\n  - [[2.0, 1.0], [4.0, 5.0]]\n")
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 30\nnum_antennas: 2\n")
+        for extra in ((), ("--baseline",)):
+            out = tmp_path / "sol.json"
+            r = self._run(
+                "solve", "--topology", str(topo_path), "--config", str(cfg_path),
+                "--scheme", "tin", "--seed", "3", "--out", str(out), *extra,
+            )
+            assert r.returncode == 0, r.stderr
+            data = json.loads(out.read_text(), parse_constant=reject)
+            assert data["baseline"] == bool(extra)
+            assert data["extras"]["ceiling_rate"] is None
+
     def test_experiment_with_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.yaml"
         yaml.safe_dump(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from pinchcast import (
     Placement,
     SystemConfig,
     equal_time_power,
+    generate_topology,
     group_gains,
     min_energy,
     min_total_energy,
@@ -15,11 +17,15 @@ from pinchcast import (
     single_pa_pm,
     solve_tdma_pm,
     solve_tdma_ps,
+    solve_ula,
     tau_from_nu,
 )
+from pinchcast import tdma
 from pinchcast.noma import mmf_rate_bound_batch
 from pinchcast.seo import seo_sweep
 from pinchcast.tdma import (
+    _DUAL_MIN_COLS,
+    _DUAL_RTOL,
     _frontier_dual_bound,
     _omega_inv,
     _omega_inv_batch,
@@ -233,6 +239,25 @@ class TestPmRateBound:
     def _gains(rng, g, cols=60):
         return 10.0 ** rng.uniform(1.0, 5.5, (g, cols))
 
+    @staticmethod
+    def _clustered_gains(rng, g, cols=60):
+        # each group strong near its own slice of the aperture, weak elsewhere
+        x = rng.uniform(0.0, 1.0, cols)
+        centre = (np.arange(g)[:, None] + 0.5) / g
+        return 10.0 ** (5.5 - 4.5 * np.abs(x - centre) + rng.uniform(-0.5, 0.0, (g, cols)))
+
+    @staticmethod
+    def _unfloored_bound(A, p_t):
+        # pm_rate_bound_batch with every column the NOMA bound sends to the
+        # dual refined through all of its steps
+        b = mmf_rate_bound_batch(p_t)(A)
+        g = A.shape[0]
+        t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / A, axis=0)) / g
+        cols = np.flatnonzero(b >= t_eq.max())
+        if cols.size > _DUAL_MIN_COLS:
+            b[cols] = np.fmin(b[cols], _frontier_dual_bound(A[:, cols], p_t) * (1.0 + _DUAL_RTOL))
+        return b
+
     def test_batch_omega_inverse_matches_scalar(self):
         rng = np.random.default_rng(30)
         y = 10.0 ** rng.uniform(-12.0, 8.0, 400)
@@ -241,6 +266,27 @@ class TestPmRateBound:
         # a warm seed on either side of the root converges to the same point
         for seed in (0.5 * want, 2.0 * want):
             assert np.max(np.abs(_omega_inv_batch(y, seed) - want) / want) <= 1e-13
+
+    def test_scalar_omega_inverse_stops_on_a_rounding_cycle(self, monkeypatch):
+        # near u = 0.2 the closed form of omega cancels, and from a cold start
+        # these targets leave the Newton iterate cycling a few ulps apart
+        class CountingMath:
+            expm1_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def expm1(self, x):
+                CountingMath.expm1_calls += 1
+                return math.expm1(x)
+
+        for y in (0.007758120301022304, 0.012659909126884916, 0.014702545802136757):
+            CountingMath.expm1_calls = 0
+            with monkeypatch.context() as m:
+                m.setattr(tdma, "math", CountingMath())
+                u = _omega_inv(y)
+            assert CountingMath.expm1_calls <= 20, y  # the loop allows 100
+            assert abs(tdma._omega(u) - y) <= 1e-13 * y
 
     def test_dual_bound_dominates_and_is_tight(self):
         rng = np.random.default_rng(31)
@@ -274,13 +320,53 @@ class TestPmRateBound:
         pm = np.array([pm_rate(c, p_t) for c in A.T])
         bound = pm_rate_bound_batch(p_t)(A)
         noma = mmf_rate_bound_batch(p_t)(A)
-        # columns whose NOMA bound reaches the best equal-slot rate are refined
+        # columns whose NOMA bound reaches the best equal-slot rate go to the
+        # dual, which, refined without a floor, is tight on every one of them
         t_eq = np.log2(1.0 + 4 * p_t / np.sum(1.0 / A, axis=0)) / 4
         refined = noma >= t_eq.max()
         assert refined.sum() > 4
-        assert np.all(bound[refined] <= pm[refined] * (1.0 + 1e-6))
+        assert np.all(_frontier_dual_bound(A[:, refined], p_t) <= pm[refined] * (1.0 + 1e-6))
+        # the screening bound refines only the columns that stay at or above
+        # that rate, and is tight there
+        assert np.all(bound >= pm)
+        kept = bound >= t_eq.max()
+        assert np.all(bound[kept] <= pm[kept] * (1.0 + 1e-6))
+        # the same columns reach the exact stage as under full refinement
+        full = self._unfloored_bound(A, p_t)
+        assert np.array_equal(bound >= pm.max(), full >= pm.max())
         # so far fewer columns reach the exact stage of a screened selection
         assert (bound >= pm.max()).sum() < (noma >= pm.max()).sum()
+
+    def test_floor_marks_the_same_columns_for_the_exact_stage(self):
+        # a column dropped below the best equal-slot rate keeps a looser
+        # bound, but one still below every rate the selection can reach
+        rng = np.random.default_rng(34)
+        loosened = 0
+        for gains in (self._gains, self._clustered_gains):
+            for g in range(2, 7):
+                for dbm in np.arange(-40.0, 31.0, 10.0):
+                    p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                    A = gains(rng, g, cols=40)
+                    pm = np.array([pm_rate(c, p_t) for c in A.T])
+                    bound = pm_rate_bound_batch(p_t)(A)
+                    full = self._unfloored_bound(A, p_t)
+                    # to rounding: the batch omega inverse stops when all of
+                    # its entries have converged, so fewer columns may stop sooner
+                    assert np.all(bound >= full * (1.0 - 1e-14)), (g, dbm)
+                    assert np.array_equal(bound >= pm.max(), full >= pm.max()), (g, dbm)
+                    loosened += np.any(bound > full * (1.0 + 1e-12))
+        assert loosened > 0  # the floor did stop some columns early
+
+    def test_screened_and_plain_shared_placement_sweeps_agree_at_high_power(self):
+        for mode, g in itertools.product(("uniform_random", "heterogeneous_clusters"), (4, 5, 6)):
+            cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(30.0)
+            topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
+            hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7), use_hoe=True)
+            plain = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7), use_hoe=False)
+            assert np.array_equal(hoe.placements[0].x_m, plain.placements[0].x_m), (mode, g)
+            hoe = solve_ula(topo, "tdma-pm", cfg, use_hoe=True)
+            plain = solve_ula(topo, "tdma-pm", cfg, use_hoe=False)
+            assert np.array_equal(hoe.phases, plain.phases), (mode, g)
 
 
 class TestEqualTimeSplit:
