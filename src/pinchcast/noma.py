@@ -20,7 +20,7 @@ from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .records import SchemeSolution, trace_summary
-from .seo import SweepObjective, SweepTrace, random_placement
+from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import GroupGains, Placement, Topology
 
 
@@ -136,15 +136,19 @@ def _mmf_gamma_batch(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
 
     The required total power R(gamma) = sum_k gamma (1 + gamma)^k / a_(k)
     (gains ascending) is log-convex in log(gamma), so Newton's method on
-    log R = log p_t in log(gamma), started at gamma = p_t * a_(0) where
-    R >= p_t, decreases monotonically onto the root.  It converges in a
-    handful of steps where the bisection of :func:`_mmf_gamma` needs about
-    forty, and it never stops below the root, so the result bounds that
-    bisection's answer from above up to rounding.
+    log R = log p_t in log(gamma), started at gamma = p_t / sum(1/a) where
+    R >= p_t (every weight (1 + gamma)^k is at least 1), decreases
+    monotonically onto the root.  It converges in a handful of steps where
+    the bisection of :func:`_mmf_gamma` needs about forty, and it never
+    stops below the root, so the result bounds that bisection's answer from
+    above up to rounding.  Each column stops on its own step, so its result
+    does not depend on the other columns of the batch.
     """
     a = np.sort(np.asarray(gain_matrix, dtype=float), axis=0)
     inv = 1.0 / a
-    gamma = p_t * a[0]
+    gamma = p_t / inv.sum(axis=0)
+    out = gamma.copy()
+    live = np.arange(gamma.size)  # columns still stepping
     for _ in range(60):
         # R and dR/dgamma by the backward recursion of _required_total
         s = np.zeros(gamma.size)
@@ -155,19 +159,46 @@ def _mmf_gamma_batch(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
             s = grow * s + gamma * inv_k
         step = np.log(s / p_t) * s / (gamma * ds)
         new = np.minimum(gamma * np.exp(-step), gamma)
-        done = np.all(gamma - new <= 1e-15 * gamma)
-        gamma = new
-        if done:
+        out[live] = new
+        keep = gamma - new > 1e-15 * gamma
+        if not keep.all():
+            live, new, inv = live[keep], new[keep], inv[:, keep]
+        if not live.size:
             break
-    return gamma
+        gamma = new
+    return out
+
+
+def _reaches(gain_matrix: np.ndarray, p_t: float, gamma: float) -> np.ndarray:
+    """Mask of the columns whose equalized SINR reaches ``gamma``.
+
+    R(gamma) increases in gamma, so a column reaches ``gamma`` exactly when
+    R(gamma) <= p_t: one backward recursion, no root finding.  Pairing the
+    largest weight (1 + gamma)^k with the smallest inverse gain minimizes
+    R, and every weight is at least 1, so
+    R(gamma) >= gamma (sum 1/a + ((1 + gamma)^(G-1) - 1) / max a), which
+    needs no sort; only the columns that pass it are sorted.
+    """
+    inv = 1.0 / np.asarray(gain_matrix, dtype=float)
+    lift = math.expm1((inv.shape[0] - 1) * math.log1p(gamma))
+    mask = gamma * (inv.sum(axis=0) + lift * inv.min(axis=0)) <= p_t
+    cols = np.flatnonzero(mask)
+    s = np.zeros(cols.size)
+    for inv_k in np.sort(inv[:, cols], axis=0):  # strongest group first
+        s = (1.0 + gamma) * s + gamma * inv_k
+    mask[cols] = s <= p_t
+    return mask
 
 
 # relative slack covering rounding differences between the batch bound and
 # the scalar objectives it screens
 _BOUND_RTOL = 1e-12
+# relative slack under a screening floor: well above _BOUND_RTOL and the
+# rounding-level drift of the incumbent's gains between two evaluations
+_FLOOR_RTOL = 1e-9
 
 
-def mmf_rate_bound_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
+def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
     """Screening bound: the max-min cancellation-decoding rate of each column.
 
     Computed by :func:`_mmf_gamma_batch`, which approaches the equalized
@@ -175,13 +206,25 @@ def mmf_rate_bound_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
     the scalar NOMA objective.  Superposition coding dominates time sharing
     on a degraded broadcast channel, so the same bound dominates the
     shared-placement TDMA rate; both sweeps use it with :func:`hoe_sweep`.
+
+    Given a ``floor`` (the exact value of a column known to be attainable),
+    the columns that :func:`_reaches` shows cannot reach
+    ``cut = floor * (1 - _FLOOR_RTOL)`` get ``cut`` (slacked), a valid bound
+    below the floor, and only the others are solved.
     """
 
-    def bound(gain_matrix: np.ndarray) -> np.ndarray:
-        gamma = _mmf_gamma_batch(gain_matrix, p_t)
+    def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+        a = np.asarray(gain_matrix, dtype=float)
+        live = slice(None)
+        rate = np.empty(a.shape[1])
+        if floor > 0.0:
+            cut = floor * (1.0 - _FLOOR_RTOL)
+            live = _reaches(a, p_t, math.expm1(cut * math.log(2.0)))
+            rate[:] = cut
+        gamma = _mmf_gamma_batch(a[:, live], p_t)
         # log1p stays accurate for tiny SINRs; log2(1 + x) is what the scalar
         # objective computes, and it may round above log1p there
-        rate = np.maximum(np.log2(1.0 + gamma), np.log1p(gamma) / math.log(2.0))
+        rate[live] = np.maximum(np.log2(1.0 + gamma), np.log1p(gamma) / math.log(2.0))
         return rate * (1.0 + _BOUND_RTOL)
 
     return bound

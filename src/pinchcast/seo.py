@@ -25,7 +25,10 @@ placement sweep here and the fixed array's phase sweep both run it.
 computed for all candidates first, and the exact objective is evaluated only
 for candidates whose bound reaches the best exact value seen so far.  With a
 valid bound this selects exactly the same candidate as the plain sweep, in
-the element steps and the pair passes alike.
+the element steps and the pair passes alike.  The sweep always knows the
+exact value of its current placement, one of the candidates, and hands it to
+the bound as a floor: a candidate shown unable to reach it may get a loose
+bound without further work.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .topology import Placement, Topology
 
 ScalarObjective = Callable[[np.ndarray], float]
 BatchObjective = Callable[[np.ndarray], np.ndarray]
+ScreeningBound = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -66,14 +70,17 @@ class SweepObjective:
     """What a sweep optimizes over per-group bottleneck-CNR vectors.
 
     Give exactly one of ``exact`` (scalar) and ``exact_batch`` (vectorized
-    over candidate columns).  ``bound_batch`` screens a scalar ``exact`` that
-    is maximized: its value must dominate ``exact`` on every candidate.
+    over candidate columns).  ``bound_batch(A, floor)`` screens a scalar
+    ``exact`` that is maximized: its value must dominate ``exact`` on every
+    candidate.  ``floor`` is the exact value of one of the candidates (-inf
+    when none is known); a candidate that provably cannot reach it may get
+    any valid bound below it.
     """
 
     maximize: bool = True
     exact: ScalarObjective | None = None
     exact_batch: BatchObjective | None = None
-    bound_batch: BatchObjective | None = None
+    bound_batch: ScreeningBound | None = None
 
     def value(self, gains: np.ndarray) -> float:
         """Objective of one (G,) gain vector."""
@@ -286,10 +293,15 @@ def _select_screened(
 
 
 def _select(
-    A: np.ndarray, inc_j: int | None, objective: SweepObjective
+    A: np.ndarray, inc_j: int | None, objective: SweepObjective, floor: float = -math.inf
 ) -> tuple[int, float, int]:
-    """Best candidate column of ``A`` (incumbent kept on ties) and the number
-    of exact objective evaluations it took."""
+    """Best candidate column of ``A`` (incumbent kept on ties), its exact
+    value and the number of exact objective evaluations it took.
+
+    ``floor`` is the exact value of the incumbent column ``inc_j``; it lets
+    the screening bound stop early on columns that cannot reach it, and is
+    ignored without an incumbent.
+    """
     maximize, exact = objective.maximize, objective.exact
     if objective.exact_batch is not None:
         vals = np.asarray(objective.exact_batch(A), dtype=float)
@@ -297,7 +309,9 @@ def _select(
         return j, v, A.shape[1]
     if objective.bound_batch is None:
         return _select_plain_scalar(A, exact, maximize, inc_j)
-    bounds = np.asarray(objective.bound_batch(A), dtype=float)
+    if inc_j is None:
+        floor = -math.inf
+    bounds = np.asarray(objective.bound_batch(A, floor), dtype=float)
     return _select_screened(A, exact, bounds, inc_j)
 
 
@@ -326,6 +340,7 @@ def _run_sweeps(
     spacing = config.min_spacing_m
 
     trace = SweepTrace()
+    v_cur = objective.value(_gains_of(x, users, noise, spans, config))
 
     def fixed_sum(others: np.ndarray) -> np.ndarray:
         if others.size:
@@ -333,10 +348,12 @@ def _run_sweeps(
         return np.zeros(users.shape[0], dtype=complex)
 
     def select(A: np.ndarray, inc_j: int | None) -> tuple[int, float]:
-        j, v, evals = _select(A, inc_j, objective)
+        # v_cur: the exact value of the current placement, the incumbent's
+        nonlocal v_cur
+        j, v_cur, evals = _select(A, inc_j, objective, v_cur)
         trace.total_candidates += A.shape[1]
         trace.stage2_evals += evals
-        return j, v
+        return j, v_cur
 
     if n > 1:
         pair_p, pair_q = _pair_columns(grid.points, spacing)
@@ -368,7 +385,7 @@ def _run_sweeps(
                 moved = True
         return moved, v
 
-    f_prev = objective.value(_gains_of(x, users, noise, spans, config))
+    f_prev = v_cur
     trace.objective.append(f_prev)
 
     for _ in range(config.max_outer_iters):
@@ -451,5 +468,6 @@ def hoe_sweep(
     ``exact`` alone.
     """
     return _run_sweeps(
-        placement, topology, config, SweepObjective(exact=exact, bound_batch=upper_bound)
+        placement, topology, config,
+        SweepObjective(exact=exact, bound_batch=lambda A, floor: upper_bound(A)),
     )

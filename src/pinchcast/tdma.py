@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .config import SystemConfig
 from .errors import PinchcastError
 from .noma import lone_group_rate_batch, mmf_rate_bound_batch
 from .records import SchemeSolution, trace_summary
-from .seo import SweepObjective, SweepTrace, random_placement
+from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
 
 LN2 = math.log(2.0)
@@ -118,27 +117,39 @@ def _omega_of_v(v: np.ndarray, em1: np.ndarray) -> np.ndarray:
 
 
 def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise :func:`_omega_inv`: the same capped Newton iteration,
-    stopped once every step is below 1e-12 relative (quadratic convergence
-    puts the iterate at rounding level then)."""
+    """Elementwise :func:`_omega_inv`: the same capped Newton iteration, each
+    entry stopped once its step is below 1e-12 relative (quadratic
+    convergence puts the iterate at rounding level then), so an entry's
+    result does not depend on the other entries of the batch."""
     y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
     u_max = np.where(
         y < 1.0,
         np.maximum(np.sqrt(2.0 * y) / LN2, 1e-12),
         np.minimum(np.log2(y + 2.0), _U_CAP),
     )
-    u = u_max if seed is None else np.where((seed > 0.0) & (seed < u_max), seed, u_max)
+    if seed is None:
+        u = u_max
+    else:
+        seed = np.ravel(seed)
+        u = np.where((seed > 0.0) & (seed < u_max), seed, u_max)
+    out = np.empty_like(y)
+    live = np.arange(y.size)  # entries still stepping
     for _ in range(100):
         v = LN2 * u
         em1 = np.expm1(v)
         w = _omega_of_v(v, em1)
         u_new = u - (w - y) / (LN2 * v * (em1 + 1.0))
         u_new = np.where(u_new <= 0.0, 0.5 * u, np.minimum(u_new, u_max))
-        done = np.all(np.abs(u_new - u) <= 1e-12 * u)
-        u = u_new
-        if done:
+        out[live] = u_new
+        keep = np.abs(u_new - u) > 1e-12 * u
+        if not keep.all():
+            live, y, u_max, u_new = live[keep], y[keep], u_max[keep], u_new[keep]
+        if not live.size:
             break
-    return u
+        u = u_new
+    return out.reshape(shape)
 
 
 def _frontier_dual_bound(
@@ -193,34 +204,35 @@ _DUAL_RTOL = 1e-10
 _DUAL_MIN_COLS = 4
 
 
-def pm_rate_bound_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
+def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
     """Screening bound for the shared-placement rate of each gain column.
 
     Every column gets the max-min NOMA rate
     (:func:`~pinchcast.noma.mmf_rate_bound_batch`; superposition coding
-    dominates time sharing).  Columns whose NOMA bound reaches the best
-    equal-slot rate, a feasible and hence attainable rate, are tightened
-    with :func:`_frontier_dual_bound`; the others cannot be selected anyway.
+    dominates time sharing), floored at the larger of ``floor`` and the
+    best equal-slot rate, a feasible and hence attainable rate.  Columns
+    whose NOMA bound reaches that floor are tightened with
+    :func:`_frontier_dual_bound`; the others cannot be selected anyway.
     For the same reason the dual refines a column only while its bound
-    stays at or above that rate.  The dual pass costs about as much as a
+    stays at or above the floor.  The dual pass costs about as much as a
     few exact evaluations, so it is skipped when no more than
-    ``_DUAL_MIN_COLS`` columns reach that rate.
+    ``_DUAL_MIN_COLS`` columns reach the floor.
     """
     noma_bound = mmf_rate_bound_batch(p_t)
 
-    def bound(gain_matrix: np.ndarray) -> np.ndarray:
+    def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         a = np.asarray(gain_matrix, dtype=float)
-        b = noma_bound(a)
         g = a.shape[0]
         if g == 1:
-            return b
+            return noma_bound(a, floor)
         t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / a, axis=0)) / g
-        floor = t_eq.max()
+        floor = max(t_eq.max(), floor)
+        b = noma_bound(a, floor)
         cols = np.flatnonzero(b >= floor)
         if cols.size <= _DUAL_MIN_COLS:
             return b
         # the floor is compared before the slack, so a column that stops
-        # early still ends below t_eq.max() once slacked
+        # early still ends below the floor once slacked
         dual = _frontier_dual_bound(a[:, cols], p_t, floor=floor / (1.0 + _DUAL_RTOL))
         dual *= 1.0 + _DUAL_RTOL
         b[cols] = np.fmin(b[cols], dual)

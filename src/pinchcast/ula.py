@@ -88,7 +88,7 @@ def _phase_sweep(
     trace = SweepTrace()
 
     h = elem.sum(axis=1)  # every phase starts at zero
-    f_prev = objective.value(_group_min((h.real**2 + h.imag**2) / (n * noise), spans))
+    f_prev = v = objective.value(_group_min((h.real**2 + h.imag**2) / (n * noise), spans))
     trace.objective.append(f_prev)
     for _ in range(config.max_outer_iters):
         for i in range(n):
@@ -99,7 +99,7 @@ def _phase_sweep(
             inc_hits = np.nonzero(codebook == phases[i])[0]
             inc_j = int(inc_hits[0]) if inc_hits.size else None
             A = _candidate_gains(h_bar, cand_terms, noise, n, spans)
-            j, v, evals = _select(A, inc_j, objective)
+            j, v, evals = _select(A, inc_j, objective, v)  # v: the incumbent's exact value
             trace.total_candidates += A.shape[1]
             trace.stage2_evals += evals
             phases[i] = codebook[j]

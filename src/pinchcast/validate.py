@@ -16,6 +16,7 @@ from .noma import (
     noma_mmf_bisection,
     recursive_power,
     single_pa_required_power,
+    solve_noma,
     two_group_power,
     upper_bound_batch,
 )
@@ -125,6 +126,13 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
         if not np.array_equal(plain_x.x_m, hoe_x.x_m):
             return False
         if abs(plain_tr.objective[-1] - hoe_tr.objective[-1]) > 1e-12:
+            return False
+        # the solver's own objective, screened against the incumbent's value
+        hoe = solve_noma(topo, config, placement=start)
+        plain = solve_noma(topo, config, placement=start, use_hoe=False)
+        if not np.array_equal(hoe.placement.x_m, plain.placement.x_m):
+            return False
+        if hoe.trace.objective != plain.trace.objective:
             return False
     return True
 

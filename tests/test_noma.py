@@ -234,6 +234,25 @@ class TestMmfRateBound:
                 assert np.all(got >= want * (1.0 - 1e-15)), (g, dbm)
                 assert np.all(got - want <= width + 1e-15 * got), (g, dbm)
 
+    def test_columns_do_not_depend_on_their_batch(self):
+        # each column stops on its own: splitting, permuting or duplicating
+        # the columns of a batch leaves every column's root bit for bit
+        rng = np.random.default_rng(23)
+        for g in range(1, 7):
+            for dbm in (-40.0, -10.0, 30.0, 50.0):
+                p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                A = self._gains(rng, g, cols=90)
+                whole = _mmf_gamma_batch(A, p_t)
+                cut = rng.integers(1, 89)
+                split = np.concatenate([_mmf_gamma_batch(A[:, :cut], p_t), _mmf_gamma_batch(A[:, cut:], p_t)])
+                perm = rng.permutation(90)
+                dup = np.r_[np.arange(90), np.arange(0, 90, 7)]
+                assert np.array_equal(split, whole), (g, dbm)
+                assert np.array_equal(_mmf_gamma_batch(A[:, perm], p_t), whole[perm]), (g, dbm)
+                assert np.array_equal(_mmf_gamma_batch(A[:, dup], p_t), whole[dup]), (g, dbm)
+                for j in rng.choice(90, 3, replace=False):
+                    assert _mmf_gamma_batch(A[:, j:j + 1], p_t)[0] == whole[j], (g, dbm)
+
     def test_dominates_noma_and_shared_placement_tdma(self):
         rng = np.random.default_rng(22)
         for g in range(2, 7):

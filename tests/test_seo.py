@@ -16,8 +16,11 @@ from pinchcast import (
     random_placement,
     seo_sweep,
 )
+from pinchcast import seo
 from pinchcast.channel import path_terms
-from pinchcast.noma import upper_bound_batch
+from pinchcast.noma import _mmf_gamma, mmf_rate_bound_batch, upper_bound_batch
+from pinchcast.seo import SweepObjective, _select
+from pinchcast.tdma import pm_rate, pm_rate_bound_batch
 from pinchcast.tin import inv_cnr_sum_batch
 
 from conftest import make_topology
@@ -251,3 +254,76 @@ class TestHoeSweep:
         _, trace = hoe_sweep(start, topo, cfg, upper_bound_batch(cfg.power_budget_w), exact)
         assert 0.0 < trace.retention < 1.0
         assert trace.stage2_evals <= trace.total_candidates
+
+    def test_one_argument_bound_matches_the_floored_sweep(self):
+        # hoe_sweep takes a one-argument bound, which never sees a floor; the
+        # floored NOMA bound selects the same placements with as many exact
+        # evaluations
+        for seed in range(3):
+            cfg, topo, start = self._instance(seed)
+            p_t = cfg.power_budget_w
+            exact = self._exact(p_t)
+            calls = []
+
+            def one_arg(A):
+                calls.append(A.shape[1])
+                return mmf_rate_bound_batch(p_t)(A)
+
+            xh, th = hoe_sweep(start, topo, cfg, one_arg, exact)
+            floored = SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t))
+            xf, tf = seo._run_sweeps(start, topo, cfg, floored)
+            assert len(calls) > 0
+            assert np.array_equal(xh.x_m, xf.x_m)
+            assert th.objective == tf.objective
+            assert th.stage2_evals == tf.stage2_evals
+
+
+class TestScreeningFloor:
+    """A screening bound given the exact value of one candidate as a floor."""
+
+    @staticmethod
+    def _screens(p_t):
+        # (screening bound, stateless exact objective) of noma and tdma-pm
+        def noma_rate(c):
+            return math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t, 60, 1e-12))
+
+        return {
+            "noma": (mmf_rate_bound_batch(p_t), noma_rate),
+            "tdma-pm": (pm_rate_bound_batch(p_t), lambda c: pm_rate(c, p_t)),
+        }
+
+    def test_floor_keeps_bounds_and_selections(self):
+        rng = np.random.default_rng(40)
+        dropped = refined = 0
+        for g in range(1, 7):
+            for dbm in np.arange(-40.0, 51.0, 10.0):
+                p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                A = 10.0 ** rng.uniform(1.0, 5.5, (g, 40))
+                noma_free = mmf_rate_bound_batch(p_t)(A)
+                for name, (bound, exact) in self._screens(p_t).items():
+                    values = np.array([exact(c) for c in A.T])
+                    free = bound(A)
+                    objective = SweepObjective(exact=exact, bound_batch=bound)
+                    for inc_j in (int(rng.integers(A.shape[1])), int(np.argmax(values))):
+                        floor = values[inc_j]
+                        floored = bound(A, floor)
+                        key = (name, g, dbm, inc_j)
+                        assert np.all(floored >= values), key
+                        # columns that reach the floor keep their bounds; for
+                        # tdma-pm the dual pass is skipped when no more than
+                        # _DUAL_MIN_COLS columns reach it, leaving the NOMA bound
+                        hi = values >= floor
+                        kept = floored[hi]
+                        if name == "noma":
+                            assert np.array_equal(kept, free[hi]), key
+                        else:
+                            assert np.array_equal(kept, free[hi]) or np.array_equal(kept, noma_free[hi]), key
+                            refined += not np.array_equal(kept, noma_free[hi])
+                        dropped += np.count_nonzero(floored != free)
+                        got = _select(A, inc_j, objective, floor)
+                        want = _select(A, inc_j, objective)
+                        assert got[:2] == want[:2], key
+                        if name == "noma":
+                            assert got[2] == want[2], key
+        assert dropped > 0  # the floor did drop columns
+        assert refined > 0  # and tdma-pm's dual refined at a floor
