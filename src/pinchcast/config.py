@@ -46,8 +46,6 @@ class SystemConfig:
     tol: float = 1e-4                     # sweep convergence tolerance
     max_outer_iters: int = 20             # cap on full placement sweeps
     gamma_bisect_iters: int = 60          # SINR bisection (power-domain solver)
-    nu_bisect_iters: int = 80             # dual-variable bisection (time allocator)
-    rate_bisect_iters: int = 60           # outer rate bisection (time allocator)
 
     def __post_init__(self) -> None:
         if math.isnan(self.waveguide_y_m):
@@ -71,8 +69,6 @@ class SystemConfig:
             (self.tol > 0, "tol must be > 0"),
             (self.max_outer_iters >= 1, "max_outer_iters must be >= 1"),
             (self.gamma_bisect_iters >= 1, "gamma_bisect_iters must be >= 1"),
-            (self.nu_bisect_iters >= 1, "nu_bisect_iters must be >= 1"),
-            (self.rate_bisect_iters >= 1, "rate_bisect_iters must be >= 1"),
         ]
         for ok, msg in checks:
             if not ok:

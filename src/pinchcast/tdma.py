@@ -5,9 +5,13 @@ E_g = tau_g * P_g, giving the jointly concave slot rate
 tau * log2(1 + E * A / tau).  For a target common rate t the cheapest energy
 of a group is tau/A * (2^(t/tau) - 1); minimizing the summed energy over the
 slot lengths is a strictly convex problem whose stationarity condition ties
-every slot length to one multiplier nu.  The allocator therefore bisects nu
-until the slot lengths fill the frame and bisects the rate until the energy
-budget is met.
+every slot length to one multiplier nu.  At the optimum the frame and the
+budget are both tight, so the rate, every slot length and every energy follow
+from nu; :func:`_frontier` finds it by Newton iteration on the energy
+residual, and both the shared-placement sweep objective and the final time
+and energy allocation run it.  A bisection of nu until the slot lengths fill
+the frame (:func:`min_total_energy`, :func:`tau_from_nu`) remains as the
+independent reference the tests compare against.
 
 Two placement protocols are supported: slot-switched placements optimized per
 group in isolation (PS) and one shared placement optimized against the
@@ -188,7 +192,7 @@ def _frontier_dual_bound(
             keep = best[live] >= floor
             if not keep.all():
                 live, a, nu, u, em1 = live[keep], a[:, keep], nu[keep], u[:, keep], em1[:, keep]
-            # Newton in log nu on log energy(nu) = log p_t, as in _PmRateSolver._state
+            # Newton in log nu on log energy(nu) = log p_t, as in _frontier
             t = 1.0 / np.sum(1.0 / u, axis=0)
             e_sum = np.sum(em1 / (u * a), axis=0)
             du = a / (LN2 * LN2 * u * (em1 + 1.0))
@@ -199,7 +203,7 @@ def _frontier_dual_bound(
     return best
 
 
-# relative slack covering rounding in the dual bound and in _PmRateSolver
+# relative slack covering rounding in the dual bound and in _frontier
 _DUAL_RTOL = 1e-10
 _DUAL_MIN_COLS = 4
 
@@ -264,29 +268,30 @@ def _tau_vector(a: list[float], t: float, nu: float, seeds: list[float] | None) 
     return taus, us
 
 
-def _min_total_energy(
-    a: list[float],
-    t: float,
-    iters: int,
-    nu_seed: float | None = None,
-) -> tuple[float, list[float], float]:
-    """Minimize total slot energy at rate ``t`` subject to a unit frame.
+def min_total_energy(gains: np.ndarray, t: float, *, iters: int = 80) -> tuple[float, np.ndarray]:
+    """Least total energy sustaining common rate ``t`` over one frame.
 
-    Bisects the multiplier nu until the slot lengths sum to one.  Returns
-    (total energy, slot lengths, nu).
+    Bisects the multiplier nu until the slot lengths sum to one.  No solver
+    runs this nested bisection; it is the reference that the tests compare
+    :func:`pm_resource_allocation` against.
     """
+    a = np.asarray(gains, dtype=float)
+    if np.any(a <= 0):
+        raise ValueError("gains must be positive")
+    if a.size == 1:
+        return min_energy(float(a[0]), t, 1.0), np.ones(1)
     if t <= 0.0:
         raise ValueError("t must be positive")
-
+    a_list = a.tolist()
     seeds: list[float] | None = None
 
     def total_tau(nu: float) -> float:
         nonlocal seeds
-        taus, seeds = _tau_vector(a, t, nu, seeds)
+        taus, seeds = _tau_vector(a_list, t, nu, seeds)
         return sum(taus)
 
     # frame use decreases in nu; expand geometrically to bracket a unit frame
-    nu = 1.0 if nu_seed is None else nu_seed
+    nu = 1.0
     s = total_tau(nu)
     lo = hi = nu
     if s > 1.0:
@@ -321,20 +326,80 @@ def _min_total_energy(
             hi = mid
         if abs(s - 1.0) <= 1e-12 or (hi - lo) <= 1e-12 * hi:
             break
-    taus, _ = _tau_vector(a, t, best_nu, seeds)
-    energy = sum(min_energy(ag, t, tg) for ag, tg in zip(a, taus))
-    return energy, taus, best_nu
-
-
-def min_total_energy(gains: np.ndarray, t: float, *, iters: int = 80) -> tuple[float, np.ndarray]:
-    """Least total energy sustaining common rate ``t`` over one frame."""
-    a = np.asarray(gains, dtype=float)
-    if np.any(a <= 0):
-        raise ValueError("gains must be positive")
-    if a.size == 1:
-        return min_energy(float(a[0]), t, 1.0), np.ones(1)
-    energy, taus, _ = _min_total_energy(a.tolist(), t, iters)
+    taus, _ = _tau_vector(a_list, t, best_nu, seeds)
+    energy = sum(min_energy(ag, t, tg) for ag, tg in zip(a_list, taus))
     return energy, np.asarray(taus)
+
+
+def _frontier_state(
+    a: list[float], nu: float, seeds: list[float]
+) -> tuple[float, float, float, list[float]]:
+    # (energy, d energy / d nu, rate, slot exponents) at multiplier nu; each
+    # slot exponent's Newton iteration starts from its seed
+    ln2 = LN2
+    ln2sq = ln2 * ln2
+    inv_u_sum = 0.0
+    e_sum = 0.0
+    dt_acc = 0.0
+    de_acc = 0.0
+    us = [0.0] * len(a)
+    for gi, ag in enumerate(a):
+        y = ag * nu
+        u = _omega_inv(y, seeds[gi])
+        us[gi] = u
+        e = math.exp(ln2 * u)
+        du = ag / (ln2sq * u * e)
+        inv_u_sum += 1.0 / u
+        e_sum += math.expm1(ln2 * u) / (u * ag)
+        dt_acc += du / (u * u)
+        de_acc += y / (u * u * ag) * du  # omega(u) = y at the root
+    t = 1.0 / inv_u_sum
+    dt = t * t * dt_acc
+    energy = t * e_sum
+    d_energy = dt * e_sum + t * de_acc
+    return energy, d_energy, t, us
+
+
+def _frontier(a: list[float], p_t: float) -> tuple[float, float, list[float]]:
+    """Energy-optimal frame of two or more groups: (rate t, multiplier nu,
+    slot exponents u).
+
+    At the optimum the frame and the budget are tight and every slot carries
+    rate t, which pins every quantity to nu: omega(u_g) = a_g nu,
+    t = 1 / sum_g 1/u_g and slot g lasts t/u_g.  Newton iteration on the
+    energy residual in nu, safeguarded by a bracket, runs to machine
+    precision.  It starts from the equal-slot allocation, as
+    :func:`_frontier_dual_bound` does, and keeps no state between calls, so
+    the result depends on ``a`` and ``p_t`` alone.
+    """
+    g = len(a)
+    u_eq = math.log1p(g * p_t / math.fsum(1.0 / ag for ag in a)) / LN2  # G * equal-slot rate
+    w = _omega(u_eq)
+    nu = math.exp(math.fsum(math.log(w / ag) for ag in a) / g)  # geometric mean of the slot multipliers
+    us = [u_eq] * g
+    lo = 0.0
+    hi = math.inf
+    for _ in range(200):
+        energy, d_energy, t, us = _frontier_state(a, nu, us)
+        f = energy - p_t
+        if f > 0.0:
+            hi = nu
+        else:
+            lo = nu
+        if lo > 0.0 and math.isfinite(hi) and hi - lo <= 4e-16 * hi:
+            break
+        nu_new = nu - f / d_energy
+        if not lo < nu_new < hi:
+            nu_new = 0.5 * (lo + hi) if math.isfinite(hi) else nu * 16.0
+        if abs(nu_new - nu) <= 1e-15 * nu:
+            nu = nu_new
+            break
+        nu = nu_new
+    else:
+        if not math.isfinite(hi):
+            raise PinchcastError("energy frontier iteration failed to bracket the budget")
+    _, _, t, us = _frontier_state(a, nu, us)
+    return t, nu, us
 
 
 @dataclass(frozen=True)
@@ -358,18 +423,14 @@ class TimeEnergyAllocation:
         return self.tau * np.log2(1.0 + self.energy_w * a / self.tau)
 
 
-def pm_resource_allocation(
-    gains: np.ndarray,
-    p_t: float,
-    *,
-    rate_iters: int = 60,
-    nu_iters: int = 80,
-) -> tuple[float, TimeEnergyAllocation]:
+def pm_resource_allocation(gains: np.ndarray, p_t: float) -> tuple[float, TimeEnergyAllocation]:
     """Largest common rate whose minimum energy fits the budget.
 
-    Outer bisection over the rate with the frame allocator as the
-    feasibility oracle.  Applies unchanged to slot-switched placements since
-    the resource problem only sees per-group gains.
+    :func:`_frontier` gives the rate t, the multiplier nu and the slot
+    exponents u_g; slot g lasts tau_g = t/u_g and uses energy
+    tau_g (2^u_g - 1)/a_g.  The rate is the one :func:`pm_rate` returns, bit
+    for bit.  Applies unchanged to slot-switched placements since the
+    resource problem only sees per-group gains.
     """
     a = np.asarray(gains, dtype=float)
     if np.any(a <= 0) or p_t <= 0:
@@ -380,112 +441,28 @@ def pm_resource_allocation(
         return t, TimeEnergyAllocation(
             tau=np.ones(1), energy_w=np.array([p_t]), nu=_omega(t) / a0
         )
-    a_list = a.tolist()
-    t_hi = min(math.log2(1.0 + p_t * ag) for ag in a_list)
-    t_lo = 0.0
-    best: tuple[float, list[float], float] | None = None
-    nu_seed = None
-    for _ in range(rate_iters):
-        mid = 0.5 * (t_lo + t_hi)
-        energy, taus, nu = _min_total_energy(a_list, mid, nu_iters, nu_seed)
-        nu_seed = nu
-        if energy <= p_t:
-            t_lo = mid
-            best = (mid, taus, nu)
-        else:
-            t_hi = mid
-        if (t_hi - t_lo) <= 1e-12 * t_hi:
-            break
-    if best is None:
-        raise PinchcastError("rate bisection found no feasible point")
-    t_star, taus, nu = best
-    tau = np.asarray(taus)
-    energy = np.array([min_energy(ag, t_star, tg) for ag, tg in zip(a_list, taus)])
-    return t_star, TimeEnergyAllocation(tau=tau, energy_w=energy, nu=nu)
+    t, nu, us = _frontier(a.tolist(), p_t)
+    u = np.asarray(us)
+    tau = t / u
+    return t, TimeEnergyAllocation(tau=tau, energy_w=tau * np.expm1(LN2 * u) / a, nu=nu)
 
 
 class _PmRateSolver:
-    """Fast equal-rate frontier solver used as the placement sweep objective.
-
-    At the optimum the frame and energy constraints are tight and all slot
-    rates are equal, which pins every quantity to the single multiplier nu.
-    Newton iteration on the energy residual with warm starts across
-    candidate evaluations converges in a handful of steps and is iterated to
-    machine precision so results do not depend on evaluation order.
-    """
+    """The shared-placement sweep's exact objective: the frame's common rate
+    (:func:`_frontier`)."""
 
     def __init__(self, p_t: float):
         self.p_t = p_t
-        self._nu = 1.0
-        self._useeds: list[float] | None = None
-
-    def _state(self, a: list[float], nu: float) -> tuple[float, float, float]:
-        # returns (energy, d_energy/d_nu, rate); slot exponents warm-start from
-        # the previous call
-        g = len(a)
-        us = self._useeds
-        if us is None or len(us) != g:
-            us = [0.0] * g
-        ln2 = LN2
-        ln2sq = ln2 * ln2
-        inv_u_sum = 0.0
-        e_sum = 0.0
-        dt_acc = 0.0
-        de_acc = 0.0
-        new_seeds = [0.0] * g
-        for gi in range(g):
-            ag = a[gi]
-            y = ag * nu
-            u = _omega_inv(y, us[gi])
-            new_seeds[gi] = u
-            e = math.exp(ln2 * u)
-            du = ag / (ln2sq * u * e)
-            inv_u_sum += 1.0 / u
-            e_sum += math.expm1(ln2 * u) / (u * ag)
-            dt_acc += du / (u * u)
-            de_acc += y / (u * u * ag) * du  # omega(u) = y at the root
-        self._useeds = new_seeds
-        t = 1.0 / inv_u_sum
-        dt = t * t * dt_acc
-        energy = t * e_sum
-        d_energy = dt * e_sum + t * de_acc
-        return energy, d_energy, t
 
     def rate(self, gains: np.ndarray) -> float:
         a = gains.tolist()
         if len(a) == 1:
             return math.log2(1.0 + self.p_t * a[0])
-        p_t = self.p_t
-        nu = self._nu
-        lo = 0.0
-        hi = math.inf
-        t = 0.0
-        for _ in range(200):
-            energy, d_energy, t = self._state(a, nu)
-            f = energy - p_t
-            if f > 0.0:
-                hi = nu
-            else:
-                lo = nu
-            if lo > 0.0 and math.isfinite(hi) and hi - lo <= 4e-16 * hi:
-                break
-            nu_new = nu - f / d_energy
-            if not lo < nu_new < hi:
-                nu_new = 0.5 * (lo + hi) if math.isfinite(hi) else nu * 16.0
-            if abs(nu_new - nu) <= 1e-15 * nu:
-                nu = nu_new
-                break
-            nu = nu_new
-        else:
-            if not math.isfinite(hi):
-                raise PinchcastError("energy frontier iteration failed to bracket the budget")
-        self._nu = nu
-        _, _, t = self._state(a, nu)
-        return t
+        return _frontier(a, self.p_t)[0]
 
 
 def pm_rate(gains: np.ndarray, p_t: float) -> float:
-    """Optimal common rate for one gain vector (stateless convenience)."""
+    """Optimal common rate for one gain vector."""
     return _PmRateSolver(p_t).rate(np.asarray(gains, dtype=float))
 
 
@@ -588,9 +565,7 @@ def tdma_solution(
         tau = np.full(g, 1.0 / g)
         alloc = TimeEnergyAllocation(tau=tau, energy_w=tau * powers, nu=math.nan)
     else:
-        t_star, alloc = pm_resource_allocation(
-            gains, p_t, rate_iters=config.rate_bisect_iters, nu_iters=config.nu_bisect_iters
-        )
+        t_star, alloc = pm_resource_allocation(gains, p_t)
     return TdmaSolution(
         protocol=protocol,
         placements=placements,

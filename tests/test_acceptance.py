@@ -467,10 +467,7 @@ def test_c12_ps_pm_consistency():
         # the slot-switched resource stage sees only per-group gains, so
         # feeding it the shared placement must reproduce the shared rate
         gains = group_gains(pm.placements[0], topo, cfg)
-        t_ps, _ = pm_resource_allocation(
-            gains.a, cfg.power_budget_w,
-            rate_iters=cfg.rate_bisect_iters, nu_iters=cfg.nu_bisect_iters,
-        )
+        t_ps, _ = pm_resource_allocation(gains.a, cfg.power_budget_w)
         worst_repro = max(worst_repro, abs(t_ps - pm.mmf_rate) / pm.mmf_rate)
         ps = solve_tdma_ps(topo, cfg, seed_placement=pm.placements[0])
         worst_dom = max(worst_dom, (pm.mmf_rate - ps.mmf_rate) / pm.mmf_rate)

@@ -263,7 +263,7 @@ class TestMmfRateBound:
                 # the scalar objective of solve_noma
                 gamma = [_mmf_gamma(sorted(c.tolist()), p_t, 60, 1e-12) for c in A.T]
                 noma = np.array([math.log2(1.0 + gm) for gm in gamma])
-                solver = _PmRateSolver(p_t)  # warm-started across columns, as in a sweep
+                solver = _PmRateSolver(p_t)  # one solver across columns, as in a sweep
                 pm = np.array([solver.rate(c) for c in A.T])
                 assert np.all(bound >= noma), (g, dbm)
                 assert np.all(bound >= pm), (g, dbm)

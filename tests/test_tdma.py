@@ -220,6 +220,59 @@ class TestPmResourceAllocation:
         assert solver.rate(a) == pytest.approx(t, rel=1e-9)
         assert solver.rate(a) == pytest.approx(pm_rate(a, 1.0), rel=1e-13)
 
+    def test_matches_nested_bisection_reference(self):
+        # the solver path runs one Newton iteration in nu; the reference
+        # bisects the rate over the nested bisection of min_total_energy
+        def reference_rate(a, p_t):
+            lo, hi = 0.0, math.log2(1.0 + p_t * a.min())
+            while hi - lo > 1e-13 * hi:
+                mid = 0.5 * (lo + hi)
+                if min_total_energy(a, mid)[0] <= p_t:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+
+        rng = np.random.default_rng(10)
+        cases = [
+            (10.0 ** rng.uniform(1.0, 5.5, g), 10.0 ** (dbm / 10.0) / 1000.0)
+            for g in range(1, 7)
+            for dbm in np.arange(-40.0, 51.0, 10.0)
+        ]
+        rng = np.random.default_rng(106)  # the draws of acceptance check c06
+        for _ in range(100):
+            g = rng.integers(2, 6)
+            a = rng.uniform(0.5, 200.0, g)
+            cases.append((a, rng.uniform(0.2, 20.0)))
+        for a, p_t in cases:
+            t, alloc = pm_resource_allocation(a, p_t)
+            assert abs(t - reference_rate(a, p_t)) <= 1e-9 * t, (a, p_t)
+            assert abs(alloc.tau.sum() - 1.0) <= 1e-12, (a, p_t)
+            assert abs(alloc.energy_w.sum() - p_t) <= 1e-12 * p_t, (a, p_t)
+            # stationarity, omega(t / tau_g) = a_g nu, with the series form
+            # of omega where its closed form cancels
+            for ag, tau in zip(a, alloc.tau):
+                assert abs(tdma._omega(t / tau) / ag - alloc.nu) <= 1e-9 * alloc.nu, (a, p_t)
+
+    def test_results_do_not_depend_on_earlier_calls(self):
+        # no warm state: a solver reused across columns, in either order,
+        # returns bit for bit what a fresh solver and the allocator return
+        rng = np.random.default_rng(11)
+        for dbm in (-40.0, -10.0, 30.0):
+            p_t = 10.0 ** (dbm / 10.0) / 1000.0
+            inputs = [10.0 ** rng.uniform(1.0, 5.5, rng.integers(2, 7)) for _ in range(12)]
+            fresh = [pm_rate(a, p_t) for a in inputs]
+            solver = _PmRateSolver(p_t)
+            assert [solver.rate(a) for a in inputs] == fresh, dbm
+            assert [solver.rate(a) for a in reversed(inputs)][::-1] == fresh, dbm
+            assert [pm_resource_allocation(a, p_t)[0] for a in inputs] == fresh, dbm
+        # the columns that once left a 1 W solver with stale warm state
+        a = np.array([17023.04, 16063.84, 7236.26, 7966.58])
+        solver = _PmRateSolver(1.0)
+        for c in 10.0 ** rng.uniform(3.0, 4.5, (20, 4)):
+            solver.rate(c)
+        assert solver.rate(a) == pm_rate(a, 1.0) == pm_resource_allocation(a, 1.0)[0]
+
     def test_exclusive_budget_bound_dominates_rate(self):
         # the screening bound used by the placement sweep must never be
         # below the exact optimum
@@ -321,7 +374,7 @@ class TestPmRateBound:
             for dbm in np.arange(-40.0, 31.0, 10.0):
                 p_t = 10.0 ** (dbm / 10.0) / 1000.0
                 A = self._gains(rng, g)
-                solver = _PmRateSolver(p_t)  # warm-started across columns, as in a sweep
+                solver = _PmRateSolver(p_t)  # one solver across columns, as in a sweep
                 pm = np.array([solver.rate(c) for c in A.T])
                 dual = _frontier_dual_bound(A, p_t)
                 assert np.all(dual >= pm * (1.0 - 1e-13)), (g, dbm)
@@ -489,10 +542,7 @@ class TestSolveTdma:
         topo = make_topology(rng, cfg, [2, 2, 2])
         pm = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(3))
         gains = group_gains(pm.placements[0], topo, cfg)
-        t_ps, _ = pm_resource_allocation(
-            gains.a, cfg.power_budget_w,
-            rate_iters=cfg.rate_bisect_iters, nu_iters=cfg.nu_bisect_iters,
-        )
+        t_ps, _ = pm_resource_allocation(gains.a, cfg.power_budget_w)
         assert abs(t_ps - pm.mmf_rate) <= 1e-9 * pm.mmf_rate
 
     def test_ps_seeded_from_pm_dominates(self):
