@@ -63,24 +63,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = _load_cfg(args.config)
+    # the command line overrides the preset or the spec file alike
+    overrides = {k: v for k, v in (("trials", args.trials), ("seed", args.seed)) if v is not None}
+    if args.baseline:
+        overrides["baseline"] = True
     if args.preset:
-        overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.baseline:
-            overrides["baseline"] = True
         spec = preset_spec(args.preset, **overrides)
     else:
-        data = _load_yaml(args.spec)
-        if args.trials is not None:
-            data["trials"] = args.trials
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.baseline:
-            data["baseline"] = True
-        spec = ExperimentSpec.from_dict(data)
+        spec = ExperimentSpec.from_dict({**_load_yaml(args.spec), **overrides})
     t0 = time.time()
 
     def progress(done: int, total: int) -> None:

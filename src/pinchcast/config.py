@@ -45,7 +45,6 @@ class SystemConfig:
     num_antennas: int = 10
     tol: float = 1e-4                     # sweep convergence tolerance
     max_outer_iters: int = 20             # cap on full placement sweeps
-    gamma_bisect_iters: int = 60          # SINR bisection (power-domain solver)
 
     def __post_init__(self) -> None:
         if math.isnan(self.waveguide_y_m):
@@ -68,7 +67,6 @@ class SystemConfig:
             (self.num_antennas >= 1, "num_antennas must be >= 1"),
             (self.tol > 0, "tol must be > 0"),
             (self.max_outer_iters >= 1, "max_outer_iters must be >= 1"),
-            (self.gamma_bisect_iters >= 1, "gamma_bisect_iters must be >= 1"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -23,6 +23,8 @@ from .records import SchemeSolution, trace_summary
 from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import GroupGains, Placement, Topology
 
+GAMMA_BISECT_ITERS = 60  # steps of the equalized-SINR bisection
+
 
 @dataclass(frozen=True)
 class DecodingOrder:
@@ -234,7 +236,7 @@ def noma_mmf_bisection(
     gains: np.ndarray,
     p_t: float,
     *,
-    iters: int = 60,
+    iters: int = GAMMA_BISECT_ITERS,
     rel_tol: float = 1e-12,
 ) -> tuple[float, np.ndarray]:
     """Largest equalized SINR whose recursive power total fits the budget.
@@ -364,33 +366,30 @@ def lone_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda gain_matrix: np.log2(1.0 + p_t * gain_matrix[0])
 
 
-def noma_objective(num_groups: int, config: SystemConfig, *, use_hoe: bool = True) -> SweepObjective:
+def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
     """Placement (or phase) sweep objective: the max-min cancellation rate.
 
     One group gets the whole budget and two groups use the closed-form SINR,
     both vectorized; larger instances run the scalar bisection, screened by
-    :func:`mmf_rate_bound_batch` when ``use_hoe`` is set.
+    :func:`mmf_rate_bound_batch`.
     """
     p_t = config.power_budget_w
     if num_groups == 1:
         return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
     if num_groups == 2:
         return SweepObjective(exact_batch=two_group_rate_batch(p_t))
-    iters = config.gamma_bisect_iters
 
     def exact(a: np.ndarray) -> float:
-        return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, iters, 1e-12))
+        return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, GAMMA_BISECT_ITERS, 1e-12))
 
-    return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t) if use_hoe else None)
+    return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t))
 
 
-def noma_solution(
-    placement: Placement, gains: GroupGains, trace: SweepTrace, config: SystemConfig
-) -> NomaSolution:
-    """Equalized-SINR power split for the gains of a swept placement."""
-    gamma, powers = noma_mmf_bisection(
-        gains.a, config.power_budget_w, iters=config.gamma_bisect_iters
-    )
+def noma_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> NomaSolution:
+    """Equalized-SINR power split for the gains a sweep ended on; its rate is
+    the sweep's last objective value."""
+    gains = GroupGains(a=trace.gains)
+    gamma, powers = noma_mmf_bisection(gains.a, config.power_budget_w)
     return NomaSolution(
         equalized_sinr=gamma,
         power_w=powers,
@@ -410,7 +409,6 @@ def solve_noma(
     placement: Placement | None = None,
     n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
-    use_hoe: bool = True,
 ) -> NomaSolution:
     """Joint placement and power optimization under cancellation decoding.
 
@@ -422,6 +420,6 @@ def solve_noma(
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
-    objective = noma_objective(topology.num_groups, config, use_hoe=use_hoe)
+    objective = noma_objective(topology.num_groups, config)
     best, trace = seo._run_sweeps(placement, topology, config, objective)
-    return noma_solution(best, group_gains(best, topology, config), trace, config)
+    return noma_solution(best, trace, config)

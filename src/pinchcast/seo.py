@@ -1,4 +1,4 @@
-"""Sequential element-wise placement optimization over a discretized aperture.
+"""Sequential element-wise optimization over a discretized aperture.
 
 One antenna coordinate is re-optimized at a time by a 1-D search over the
 candidate grid, holding the others fixed.  Candidate channels are evaluated
@@ -13,20 +13,24 @@ pair of grid points (a block coordinate step), accepting only strict
 improvements; the element-wise sweeps then resume.  For two antennas the
 pair pass is exhaustive enumeration; a single antenna never runs it.
 
+:func:`_sweep` is the search loop, and the fixed array's phase sweep runs it
+too; each supplies its moves as generators.  The loop keeps the gains of the
+column it selected last, those of the final state, on the trace, and the
+solvers build their solutions from them.
+
 Objectives operate on the per-group bottleneck-CNR vector of a candidate
 placement.  Scalar objectives map a (G,) gain vector to a float; batch
 objectives map the full (G, L) candidate-gain matrix to an (L,) value vector
 and enable fully vectorized sweeps for cheap objectives.  A
 :class:`SweepObjective` bundles the direction, the exact objective and an
-optional screening bound; each scheme module builds its own once, and the
-placement sweep here and the fixed array's phase sweep both run it.
+optional screening bound; each scheme module builds its own once.
 
 ``hoe_sweep`` adds a two-stage screen: a cheap per-candidate upper bound is
 computed for all candidates first, and the exact objective is evaluated only
 for candidates whose bound reaches the best exact value seen so far.  With a
 valid bound this selects exactly the same candidate as the plain sweep, in
 the element steps and the pair passes alike.  The sweep always knows the
-exact value of its current placement, one of the candidates, and hands it to
+exact value of its current state, one of the candidates, and hands it to
 the bound as a floor: a candidate shown unable to reach it may get a loose
 bound without further work.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .topology import Placement, Topology
 ScalarObjective = Callable[[np.ndarray], float]
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 ScreeningBound = Callable[[np.ndarray, float], np.ndarray]
+Moves = Callable[[], Generator[tuple[np.ndarray, int | None], int, None]]
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,9 @@ class SweepTrace:
     sweep when it moves antennas.  ``stage2_evals`` counts exact objective
     evaluations and ``total_candidates`` all feasible candidates examined
     (single positions and position pairs), so ``retention`` is the fraction of
-    candidates that reached the exact stage.
+    candidates that reached the exact stage.  ``gains`` is the
+    bottleneck-CNR vector of the final state, as the last selection computed
+    it; the solvers build their solutions from it.
     """
 
     objective: list[float] = field(default_factory=list)
@@ -106,6 +113,7 @@ class SweepTrace:
     total_candidates: int = 0
     sweeps: int = 0
     converged: bool = False
+    gains: np.ndarray | None = None
 
     @property
     def retention(self) -> float:
@@ -232,11 +240,16 @@ def _pair_gains(
     return _group_min(hr, spans)
 
 
-def _gains_of(x: np.ndarray, users: np.ndarray, noise_w: np.ndarray, spans, config) -> np.ndarray:
-    terms = path_terms(x, users, config)
-    h = terms.sum(axis=1)
-    cnr = (h.real**2 + h.imag**2) / (x.size * noise_w)
-    return _group_min(cnr, spans)
+def _gains_of(h: np.ndarray, noise_w: np.ndarray, n_antennas: int, spans) -> np.ndarray:
+    """Bottleneck-CNR vector (G,) of one full state from its summed channel
+    ``h`` (K,), rows in :func:`group_layout` order."""
+    return _group_min((h.real**2 + h.imag**2) / (n_antennas * noise_w), spans)
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    """Index of the first set entry of ``mask``; None when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def _select_plain_scalar(
@@ -323,12 +336,63 @@ def _pair_columns(points: np.ndarray, min_spacing_m: float) -> tuple[np.ndarray,
     return p[keep], q[keep]
 
 
+def _sweep(
+    gains: np.ndarray,
+    objective: SweepObjective,
+    config: SystemConfig,
+    element_moves: Moves,
+    block_moves: Moves | None = None,
+) -> SweepTrace:
+    """The element-wise search loop, from a state with bottleneck gains ``gains``.
+
+    Each call of ``element_moves`` makes one sweep's moves.  A move yields a
+    candidate-gain matrix and the incumbent's column (None if the current
+    state is no candidate), is sent the column :func:`_select` picked with
+    the current state's exact value as floor, and applies it.  Once a sweep
+    changes the objective by less than ``config.tol``, ``block_moves`` run;
+    if one leaves its incumbent, another sweep starts.  At most
+    ``config.max_outer_iters`` sweeps run.
+    """
+    v = objective.value(gains)  # the exact value of the current state
+    trace = SweepTrace(objective=[v], gains=gains)
+
+    def run(moves: Moves) -> bool:
+        # one pass of moves; True when some move left its incumbent
+        nonlocal v
+        moved = False
+        steps = moves()
+        try:
+            A, inc_j = next(steps)
+            while True:
+                j, v, evals = _select(A, inc_j, objective, v)
+                trace.total_candidates += A.shape[1]
+                trace.stage2_evals += evals
+                trace.gains = A[:, j].copy()
+                moved = moved or j != inc_j
+                A, inc_j = steps.send(j)
+        except StopIteration:
+            return moved
+
+    f_prev = v
+    for _ in range(config.max_outer_iters):
+        run(element_moves)
+        trace.sweeps += 1
+        if abs(v - f_prev) <= config.tol * min(1.0, abs(f_prev)):
+            trace.converged = block_moves is None or not run(block_moves)
+        trace.objective.append(v)
+        if trace.converged:
+            break
+        f_prev = v
+    return trace
+
+
 def _run_sweeps(
     placement: Placement,
     topology: Topology,
     config: SystemConfig,
     objective: SweepObjective,
 ) -> tuple[Placement, SweepTrace]:
+    """Placement search: :func:`_sweep` over grid points, pair passes as block moves."""
     placement.validate(config)
     x = placement.x_m.astype(float).copy()
     n = x.size
@@ -339,56 +403,12 @@ def _run_sweeps(
     grid_terms = path_terms(grid.points, users, config)  # (K, L)
     spacing = config.min_spacing_m
 
-    trace = SweepTrace()
-    v_cur = objective.value(_gains_of(x, users, noise, spans, config))
-
     def fixed_sum(others: np.ndarray) -> np.ndarray:
         if others.size:
             return path_terms(others, users, config).sum(axis=1)
         return np.zeros(users.shape[0], dtype=complex)
 
-    def select(A: np.ndarray, inc_j: int | None) -> tuple[int, float]:
-        # v_cur: the exact value of the current placement, the incumbent's
-        nonlocal v_cur
-        j, v_cur, evals = _select(A, inc_j, objective, v_cur)
-        trace.total_candidates += A.shape[1]
-        trace.stage2_evals += evals
-        return j, v_cur
-
-    if n > 1:
-        pair_p, pair_q = _pair_columns(grid.points, spacing)
-        t_re = np.ascontiguousarray(grid_terms.real)
-        t_im = np.ascontiguousarray(grid_terms.imag)
-        den = n * noise[:, None]
-
-    def pair_pass() -> tuple[bool, float]:
-        # block move of each pair of neighbours (in sorted order) over every
-        # feasible pair of grid points; only strict improvements move them
-        moved = False
-        v = math.nan
-        for i in range(n - 1):
-            others = np.delete(x, [i, i + 1])
-            feasible = spacing_mask(grid.points, others, spacing)
-            keep = feasible[pair_p] & feasible[pair_q]
-            p, q = pair_p[keep], pair_q[keep]
-            inc_hits = np.flatnonzero((grid.points[p] == x[i]) & (grid.points[q] == x[i + 1]))
-            inc_j = int(inc_hits[0]) if inc_hits.size else None
-            h_bar = fixed_sum(others)
-            A = _pair_gains(
-                h_bar.real[:, None] + t_re, h_bar.imag[:, None] + t_im,
-                t_re, t_im, p, q, den, spans,
-            )
-            j, v = select(A, inc_j)
-            if j != inc_j:
-                x[i], x[i + 1] = grid.points[p[j]], grid.points[q[j]]
-                x.sort()
-                moved = True
-        return moved, v
-
-    f_prev = v_cur
-    trace.objective.append(f_prev)
-
-    for _ in range(config.max_outer_iters):
+    def element_moves():
         for i in range(n):
             others = np.delete(x, i)
             mask = spacing_mask(grid.points, others, spacing)
@@ -398,24 +418,38 @@ def _run_sweeps(
                     f"(others at {np.array2string(others, precision=4)})"
                 )
             cand_x = grid.points[mask]
-            inc_hits = np.nonzero(cand_x == x[i])[0]
-            inc_j = int(inc_hits[0]) if inc_hits.size else None
             A = _candidate_gains(fixed_sum(others), grid_terms[:, mask], noise, n, spans)
-            j, v = select(A, inc_j)
+            j = yield A, _first_true(cand_x == x[i])
             x[i] = cand_x[j]
         x.sort()
-        trace.sweeps += 1
-        f_new = v  # objective of the placement after the final element update
-        if abs(f_new - f_prev) <= config.tol * min(1.0, abs(f_prev)):
-            moved, v_pair = pair_pass()
-            if not moved:
-                trace.objective.append(f_new)
-                trace.converged = True
-                break
-            f_new = v_pair
-        trace.objective.append(f_new)
-        f_prev = f_new
 
+    def pair_moves():
+        # block move of each pair of neighbours (in sorted order) over every
+        # feasible pair of grid points; only strict improvements move them
+        for i in range(n - 1):
+            others = np.delete(x, [i, i + 1])
+            feasible = spacing_mask(grid.points, others, spacing)
+            keep = feasible[pair_p] & feasible[pair_q]
+            p, q = pair_p[keep], pair_q[keep]
+            inc_j = _first_true((grid.points[p] == x[i]) & (grid.points[q] == x[i + 1]))
+            h_bar = fixed_sum(others)
+            A = _pair_gains(
+                h_bar.real[:, None] + t_re, h_bar.imag[:, None] + t_im,
+                t_re, t_im, p, q, den, spans,
+            )
+            j = yield A, inc_j
+            if j != inc_j:
+                x[i], x[i + 1] = grid.points[p[j]], grid.points[q[j]]
+                x.sort()
+
+    if n > 1:
+        pair_p, pair_q = _pair_columns(grid.points, spacing)
+        t_re = np.ascontiguousarray(grid_terms.real)
+        t_im = np.ascontiguousarray(grid_terms.imag)
+        den = n * noise[:, None]
+
+    start = _gains_of(path_terms(x, users, config).sum(axis=1), noise, n, spans)
+    trace = _sweep(start, objective, config, element_moves, pair_moves if n > 1 else None)
     return Placement(x_m=x), trace
 
 

@@ -518,15 +518,13 @@ class TdmaSolution:
         )
 
 
-def pm_objective(
-    num_groups: int, config: SystemConfig, *, use_hoe: bool = True, equal_time: bool = False
-) -> SweepObjective:
+def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = False) -> SweepObjective:
     """Shared-placement (or phase) sweep objective: the frame's common rate.
 
     ``equal_time`` pins every slot to 1/G, whose closed-form rate is a
     vectorized objective.  Otherwise more than one group runs
-    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch` when
-    ``use_hoe`` is set.  A lone group (also each slot of the slot-switched
+    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch`.  A lone
+    group (also each slot of the slot-switched
     protocol) holds the whole frame and budget.
     """
     p_t = config.power_budget_w
@@ -539,24 +537,25 @@ def pm_objective(
         return SweepObjective(exact_batch=eq_rate)
     if g == 1:
         return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
-    bound = pm_rate_bound_batch(p_t) if use_hoe else None
-    return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=bound)
+    return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t))
 
 
 def tdma_solution(
     protocol: str,
     placements: list[Placement],
-    gains: np.ndarray,
     traces: list[SweepTrace],
     config: SystemConfig,
     *,
     equal_time: bool = False,
 ) -> TdmaSolution:
-    """Time and energy split for the per-group gains of swept placements.
+    """Time and energy split for the per-group gains the sweeps ended on.
 
-    ``equal_time`` (more than one group) uses the closed-form equal-slot
-    powers; otherwise the joint allocator runs.
+    A slot-switched (PS) sweep runs on its own group's users alone, so slot
+    g takes the one gain of ``traces[g]``; a shared placement (PM) takes the
+    gain vector of its one trace.  ``equal_time`` (more than one group) uses
+    the closed-form equal-slot powers; otherwise the joint allocator runs.
     """
+    gains = np.array([t.gains[0] for t in traces]) if protocol == "PS" else traces[0].gains
     p_t = config.power_budget_w
     g = gains.size
     equal_time = equal_time and g > 1
@@ -597,15 +596,13 @@ def solve_tdma_ps(
     objective = pm_objective(1, config)
     placements: list[Placement] = []
     traces: list[SweepTrace] = []
-    gains = np.empty(g)
     for gi in range(g):
         start = seed_placement if seed_placement is not None else random_placement(config, rng, n_antennas)
         # the other groups' users do not enter this group's objective
         best, trace = seo._run_sweeps(start, topology.subset(gi), config, objective)
         placements.append(best)
         traces.append(trace)
-        gains[gi] = group_gains(best, topology, config).a[gi]
-    return tdma_solution("PS", placements, gains, traces, config)
+    return tdma_solution("PS", placements, traces, config)
 
 
 def solve_tdma_pm(
@@ -615,7 +612,6 @@ def solve_tdma_pm(
     placement: Placement | None = None,
     n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
-    use_hoe: bool = True,
     equal_time: bool = False,
 ) -> TdmaSolution:
     """Shared-placement protocol: one placement serves every slot, optimized
@@ -628,7 +624,6 @@ def solve_tdma_pm(
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
-    objective = pm_objective(topology.num_groups, config, use_hoe=use_hoe, equal_time=equal_time)
+    objective = pm_objective(topology.num_groups, config, equal_time=equal_time)
     best, trace = seo._run_sweeps(placement, topology, config, objective)
-    gains = group_gains(best, topology, config).a
-    return tdma_solution("PM", [best], gains, [trace], config, equal_time=equal_time)
+    return tdma_solution("PM", [best], [trace], config, equal_time=equal_time)

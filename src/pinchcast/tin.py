@@ -95,10 +95,9 @@ def tin_objective() -> SweepObjective:
     return SweepObjective(maximize=False, exact_batch=inv_cnr_sum_batch)
 
 
-def tin_solution(
-    placement: Placement, gains: GroupGains, trace: SweepTrace, config: SystemConfig
-) -> TinSolution:
-    """Closed-form power split for the gains of a swept placement."""
+def tin_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> TinSolution:
+    """Closed-form power split for the gains a sweep ended on."""
+    gains = GroupGains(a=trace.gains)
     gamma, powers = tin_power(gains.a, config.power_budget_w)
     g = gains.num_groups
     return TinSolution(
@@ -126,4 +125,4 @@ def solve_tin(
         rng = np.random.default_rng() if rng is None else rng
         placement = random_placement(config, rng, n_antennas)
     best, trace = seo._run_sweeps(placement, topology, config, tin_objective())
-    return tin_solution(best, group_gains(best, topology, config), trace, config)
+    return tin_solution(best, trace, config)

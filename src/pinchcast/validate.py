@@ -14,6 +14,7 @@ from .config import SystemConfig
 from .experiments import generate_topology
 from .noma import (
     noma_mmf_bisection,
+    noma_objective,
     recursive_power,
     single_pa_required_power,
     solve_noma,
@@ -127,12 +128,14 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
             return False
         if abs(plain_tr.objective[-1] - hoe_tr.objective[-1]) > 1e-12:
             return False
-        # the solver's own objective, screened against the incumbent's value
+        # the solver's own objective, screened against the incumbent's value,
+        # and the same objective unscreened
         hoe = solve_noma(topo, config, placement=start)
-        plain = solve_noma(topo, config, placement=start, use_hoe=False)
-        if not np.array_equal(hoe.placement.x_m, plain.placement.x_m):
+        objective = noma_objective(topo.num_groups, config)
+        plain_x, plain_tr = seo_sweep(start, topo, config, objective=objective.exact)
+        if not np.array_equal(hoe.placement.x_m, plain_x.x_m):
             return False
-        if hoe.trace.objective != plain.trace.objective:
+        if hoe.trace.objective != plain_tr.objective:
             return False
     return True
 

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -319,6 +320,24 @@ class TestCli:
         )
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "results" / "summary.csv").exists()
+
+    def test_experiment_preset_takes_the_overrides(self, tmp_path):
+        # --trials, --seed and --baseline apply to a preset as to a spec file:
+        # the files match an in-process run of the preset with those values
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 20\n")
+        r = self._run(
+            "experiment", "--preset", "groups", "--trials", "1", "--seed", "5", "--baseline",
+            "--per-trial", "--config", str(cfg_path), "--out", str(tmp_path / "cli"),
+        )
+        assert r.returncode == 0, r.stderr
+        spec = preset_spec("groups", trials=1, seed=5, baseline=True)
+        emit(run_experiment(spec, load_config(cfg_path)), tmp_path / "direct", per_trial=True)
+        for name in ("summary.csv", "trials.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+        rows = list(csv.DictReader((tmp_path / "cli" / "trials.csv").open()))
+        assert len(rows) == 4 * 8  # four group counts, four schemes, movable and fixed
+        assert {row["trial"] for row in rows} == {"0"}
 
     def test_trace_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pinchcast import seo
 from pinchcast import (
     CandidateGrid,
     Placement,
@@ -11,6 +13,7 @@ from pinchcast import (
     group_gains,
     noma_mmf_bisection,
     noma_upper_bound,
+    random_placement,
     recursive_power,
     sic_feasibility_margin,
     single_pa_asymptotic_objective,
@@ -19,7 +22,14 @@ from pinchcast import (
     tin_power,
     two_group_power,
 )
-from pinchcast.noma import _mmf_gamma, _mmf_gamma_batch, mmf_rate_bound_batch, noma_sinrs
+from pinchcast.noma import (
+    _mmf_gamma,
+    _mmf_gamma_batch,
+    mmf_rate_bound_batch,
+    noma_objective,
+    noma_sinrs,
+    noma_solution,
+)
 from pinchcast.tdma import _PmRateSolver
 from pinchcast.tin import tin_placement_objective
 
@@ -317,9 +327,10 @@ class TestSolveNoma:
         cfg = SystemConfig(waveguide_length_m=12.0, grid_points=60, num_antennas=3)
         rng = np.random.default_rng(13)
         topo = make_topology(rng, cfg, [2, 2, 2])
-        start = None
-        s1 = solve_noma(topo, cfg, rng=np.random.default_rng(99), use_hoe=True, placement=start)
-        s2 = solve_noma(topo, cfg, rng=np.random.default_rng(99), use_hoe=False, placement=start)
+        s1 = solve_noma(topo, cfg, rng=np.random.default_rng(99))
+        start = random_placement(cfg, np.random.default_rng(99))
+        plain = replace(noma_objective(3, cfg), bound_batch=None)
+        s2 = noma_solution(*seo._run_sweeps(start, topo, cfg, plain), cfg)
         assert s1.mmf_rate == pytest.approx(s2.mmf_rate, abs=1e-12)
         assert np.array_equal(s1.placement.x_m, s2.placement.x_m)
 

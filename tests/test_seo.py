@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from pinchcast import (
     random_placement,
     seo_sweep,
 )
-from pinchcast import seo
+from pinchcast import generate_topology, seo
 from pinchcast.channel import path_terms
+from pinchcast.experiments import _solve_one
 from pinchcast.noma import _mmf_gamma, mmf_rate_bound_batch, upper_bound_batch
 from pinchcast.seo import SweepObjective, _select
 from pinchcast.tdma import pm_rate, pm_rate_bound_batch
@@ -327,3 +329,20 @@ class TestScreeningFloor:
                             assert got[2] == want[2], key
         assert dropped > 0  # the floor did drop columns
         assert refined > 0  # and tdma-pm's dual refined at a floor
+
+
+class TestSweepEndState:
+    """Solutions are built from the gains of the column the sweep selected last."""
+
+    def test_rate_is_the_last_objective_value(self):
+        # the rate is that column's exact value, bit for bit, for the movable
+        # solvers and the fixed array alike; the final state's gains summed
+        # in another order differ from that column's by rounding
+        for mode, g, dbm in itertools.product(
+            ("uniform_random", "heterogeneous_clusters"), (3, 4, 5), (-20.0, 0.0, 20.0)
+        ):
+            cfg = SystemConfig(grid_points=40, num_antennas=4).with_power_dbm(dbm)
+            topo = generate_topology(mode, cfg, np.random.default_rng(0), num_groups=g, num_users=2 * g)
+            for scheme, baseline in itertools.product(("noma", "tdma-pm"), (False, True)):
+                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(1), False)
+                assert sol.mmf_rate == sol.traces[0]["objective"][-1], (mode, g, dbm, scheme, baseline)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from pinchcast import (
     min_total_energy,
     pm_rate,
     pm_resource_allocation,
+    random_placement,
     single_pa_pm,
     solve_tdma_pm,
     solve_tdma_ps,
     solve_ula,
     tau_from_nu,
 )
-from pinchcast import tdma
+from pinchcast import seo, tdma
 from pinchcast.noma import mmf_rate_bound_batch
 from pinchcast.seo import seo_sweep
 from pinchcast.tdma import (
@@ -30,8 +32,11 @@ from pinchcast.tdma import (
     _omega_inv,
     _omega_inv_batch,
     _PmRateSolver,
+    pm_objective,
     pm_rate_bound_batch,
+    tdma_solution,
 )
+from pinchcast.ula import UlaConfig, _phase_sweep
 
 from conftest import make_topology
 
@@ -151,6 +156,29 @@ class TestMinTotalEnergy:
         assert all(b > x for x, b in zip(es, es[1:]))
 
 
+def nested_bisection_rate(a, p_t):
+    """Max-min TDMA-PM rate by bisecting the rate over min_total_energy."""
+    lo, hi = 0.0, math.log2(1.0 + p_t * a.min())
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if min_total_energy(a, mid)[0] <= p_t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def check_against_reference(a, p_t):
+    t, alloc = pm_resource_allocation(a, p_t)
+    assert abs(t - nested_bisection_rate(a, p_t)) <= 1e-9 * t, (a, p_t)
+    assert abs(alloc.tau.sum() - 1.0) <= 1e-12, (a, p_t)
+    assert abs(alloc.energy_w.sum() - p_t) <= 1e-12 * p_t, (a, p_t)
+    # stationarity, omega(t / tau_g) = a_g nu, with the series form of omega
+    # where its closed form cancels
+    for ag, tau in zip(a, alloc.tau):
+        assert abs(tdma._omega(t / tau) / ag - alloc.nu) <= 1e-9 * alloc.nu, (a, p_t)
+
+
 class TestPmResourceAllocation:
     def test_single_group_closed_form(self):
         t, alloc = pm_resource_allocation(np.array([4.0]), 2.0)
@@ -179,60 +207,9 @@ class TestPmResourceAllocation:
             for ag, tau in zip(a, alloc.tau):
                 assert abs(stationarity(ag, t, tau) + alloc.nu) <= 1e-6 * alloc.nu
 
-    def test_fast_frontier_solver_agrees(self):
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            g = rng.integers(2, 6)
-            a = rng.uniform(0.5, 200.0, g)
-            p_t = rng.uniform(0.2, 20.0)
-            t, _ = pm_resource_allocation(a, p_t)
-            assert pm_rate(a, p_t) == pytest.approx(t, rel=1e-8)
-
-    def test_fast_solver_order_independent(self):
-        rng = np.random.default_rng(7)
-        inputs = [rng.uniform(0.5, 50.0, 4) for _ in range(10)]
-        s1 = _PmRateSolver(3.0)
-        fwd = [s1.rate(a) for a in inputs]
-        s2 = _PmRateSolver(3.0)
-        rev = [s2.rate(a) for a in reversed(inputs)][::-1]
-        assert max(abs(x - y) for x, y in zip(fwd, rev)) <= 1e-13
-
-    def test_fast_solver_accurate_at_low_snr(self):
-        # the slot-exponent residual must not cancel when every SNR is tiny
-        a = np.array([0.178, 5.94])
-        t, _ = pm_resource_allocation(a, 1.08e-5)
-        assert pm_rate(a, 1.08e-5) == pytest.approx(t, rel=1e-9)
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            a = 10.0 ** rng.uniform(1.0, 5.0, rng.integers(2, 7))
-            p_t = 10.0 ** rng.uniform(-16.0, -8.0)
-            t, _ = pm_resource_allocation(a, p_t)
-            assert pm_rate(a, p_t) == pytest.approx(t, rel=1e-9)
-
-    def test_fast_solver_survives_stale_warm_state(self):
-        # warm state left by earlier candidates at 1 W once made the energy
-        # frontier iteration fail to bracket the budget
-        a = np.array([17023.04, 16063.84, 7236.26, 7966.58])
-        solver = _PmRateSolver(1.0)
-        solver._nu = 1.915
-        solver._useeds = [9.42, 3.35, 10.83, 8.96]
-        t, _ = pm_resource_allocation(a, 1.0)
-        assert solver.rate(a) == pytest.approx(t, rel=1e-9)
-        assert solver.rate(a) == pytest.approx(pm_rate(a, 1.0), rel=1e-13)
-
     def test_matches_nested_bisection_reference(self):
         # the solver path runs one Newton iteration in nu; the reference
         # bisects the rate over the nested bisection of min_total_energy
-        def reference_rate(a, p_t):
-            lo, hi = 0.0, math.log2(1.0 + p_t * a.min())
-            while hi - lo > 1e-13 * hi:
-                mid = 0.5 * (lo + hi)
-                if min_total_energy(a, mid)[0] <= p_t:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-
         rng = np.random.default_rng(10)
         cases = [
             (10.0 ** rng.uniform(1.0, 5.5, g), 10.0 ** (dbm / 10.0) / 1000.0)
@@ -245,14 +222,15 @@ class TestPmResourceAllocation:
             a = rng.uniform(0.5, 200.0, g)
             cases.append((a, rng.uniform(0.2, 20.0)))
         for a, p_t in cases:
-            t, alloc = pm_resource_allocation(a, p_t)
-            assert abs(t - reference_rate(a, p_t)) <= 1e-9 * t, (a, p_t)
-            assert abs(alloc.tau.sum() - 1.0) <= 1e-12, (a, p_t)
-            assert abs(alloc.energy_w.sum() - p_t) <= 1e-12 * p_t, (a, p_t)
-            # stationarity, omega(t / tau_g) = a_g nu, with the series form
-            # of omega where its closed form cancels
-            for ag, tau in zip(a, alloc.tau):
-                assert abs(tdma._omega(t / tau) / ag - alloc.nu) <= 1e-9 * alloc.nu, (a, p_t)
+            check_against_reference(a, p_t)
+
+    def test_fast_solver_accurate_at_low_snr(self):
+        # the slot-exponent residual must not cancel when every SNR is tiny
+        check_against_reference(np.array([0.178, 5.94]), 1.08e-5)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            a = 10.0 ** rng.uniform(1.0, 5.0, rng.integers(2, 7))
+            check_against_reference(a, 10.0 ** rng.uniform(-16.0, -8.0))
 
     def test_results_do_not_depend_on_earlier_calls(self):
         # no warm state: a solver reused across columns, in either order,
@@ -441,12 +419,14 @@ class TestPmRateBound:
         for mode, g in itertools.product(("uniform_random", "heterogeneous_clusters"), (4, 5, 6)):
             cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(30.0)
             topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
-            hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7), use_hoe=True)
-            plain = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7), use_hoe=False)
-            assert np.array_equal(hoe.placements[0].x_m, plain.placements[0].x_m), (mode, g)
-            hoe = solve_ula(topo, "tdma-pm", cfg, use_hoe=True)
-            plain = solve_ula(topo, "tdma-pm", cfg, use_hoe=False)
-            assert np.array_equal(hoe.phases, plain.phases), (mode, g)
+            plain = replace(pm_objective(g, cfg), bound_batch=None)
+            hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7))
+            start = random_placement(cfg, np.random.default_rng(7))
+            best, _ = seo._run_sweeps(start, topo, cfg, plain)
+            assert np.array_equal(hoe.placements[0].x_m, best.x_m), (mode, g)
+            hoe = solve_ula(topo, "tdma-pm", cfg)
+            phases, _ = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), plain)
+            assert np.array_equal(hoe.phases, phases), (mode, g)
 
 
 class TestEqualTimeSplit:
@@ -514,8 +494,10 @@ class TestSolveTdma:
         cfg = SystemConfig(waveguide_length_m=12.0, grid_points=60, num_antennas=3)
         rng = np.random.default_rng(11)
         topo = make_topology(rng, cfg, [2, 2, 2])
-        s1 = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(5), use_hoe=True)
-        s2 = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(5), use_hoe=False)
+        s1 = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(5))
+        start = random_placement(cfg, np.random.default_rng(5))
+        best, trace = seo._run_sweeps(start, topo, cfg, replace(pm_objective(3, cfg), bound_batch=None))
+        s2 = tdma_solution("PM", [best], [trace], cfg)
         assert s1.mmf_rate == pytest.approx(s2.mmf_rate, abs=1e-12)
         assert np.array_equal(s1.placements[0].x_m, s2.placements[0].x_m)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,18 @@ from pinchcast import (
 )
 from pinchcast import generate_topology
 from pinchcast.channel import distances
+from pinchcast.noma import noma_objective
 from pinchcast.seo import SweepObjective
-from pinchcast.ula import _group_gains_for_phases, _phase_sweep
+from pinchcast.tdma import pm_objective
+from pinchcast.ula import _phase_sweep
 
 from conftest import make_topology
+
+
+def _bottleneck_cnrs(phases, topo, cfg):
+    # worst user CNR of each group, user by user from the array's channel
+    cnr = [abs(ula_effective_channel(phases, u, cfg)) ** 2 / s for u, s in zip(topo.user_xyz_m, topo.noise_w)]
+    return np.array([min(cnr[k] for k in members) for members in topo.groups])
 
 
 class TestUlaGeometry:
@@ -83,7 +92,7 @@ class TestSolveUla:
         d = distances(ula.positions(), topo.user_xyz_m, cfg)[0]
         coherent = np.sum(np.sqrt(cfg.path_gain_m2 / 4) / d)
         floor = (math.cos(math.pi / 64) * coherent) ** 2 / cfg.noise_w
-        achieved = _group_gains_for_phases(sol.phases, topo, cfg, ula)[0]
+        achieved = _bottleneck_cnrs(sol.phases, topo, cfg)[0]
         assert achieved >= floor
         assert achieved <= coherent**2 / cfg.noise_w * (1 + 1e-12)
 
@@ -108,12 +117,11 @@ class TestSolveUla:
 
     def test_equal_time_variant_matches_inverse_gain_split(self):
         from pinchcast.tdma import equal_time_power
-        from pinchcast.ula import UlaConfig as _UC
 
         cfg = SystemConfig(grid_points=32, num_antennas=3)
         topo = make_topology(np.random.default_rng(6), cfg, [2, 2])
         sol = solve_ula(topo, "tdma-pm", cfg, equal_time=True)
-        gains = _group_gains_for_phases(sol.phases, topo, cfg, _UC.from_system(cfg))
+        gains = _bottleneck_cnrs(sol.phases, topo, cfg)
         _, rate = equal_time_power(gains, cfg.power_budget_w)
         assert sol.mmf_rate == pytest.approx(rate, rel=1e-12)
         assert np.allclose(sol.tau, 0.5)
@@ -141,16 +149,18 @@ class TestSolveUla:
 
     def test_screened_and_plain_phase_sweeps_agree(self):
         # the screening bounds never change the selected phases
+        objectives = {"noma": noma_objective, "tdma-pm": pm_objective}
         cases = [("noma", g) for g in (3, 4, 5)] + [("tdma-pm", g) for g in (2, 3, 4)]
         for mode, dbm, (scheme, g), seed in itertools.product(
             ("uniform_random", "heterogeneous_clusters"), (-20.0, 10.0, 30.0), cases, (0, 1)
         ):
             cfg = SystemConfig(grid_points=40, num_antennas=4).with_power_dbm(dbm)
             topo = generate_topology(mode, cfg, np.random.default_rng(seed), num_groups=g, num_users=2 * g)
-            hoe = solve_ula(topo, scheme, cfg, use_hoe=True)
-            plain = solve_ula(topo, scheme, cfg, use_hoe=False)
-            assert np.array_equal(hoe.phases, plain.phases), (mode, dbm, scheme, g, seed)
-            assert hoe.mmf_rate == plain.mmf_rate
+            hoe = solve_ula(topo, scheme, cfg)
+            plain = replace(objectives[scheme](g, cfg), bound_batch=None)
+            phases, trace = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), plain)
+            assert np.array_equal(hoe.phases, phases), (mode, dbm, scheme, g, seed)
+            assert hoe.mmf_rate == trace.objective[-1]
 
     def test_tin_ceiling_shared_with_movable_antennas(self):
         # at high power both architectures saturate at the same interference cap
