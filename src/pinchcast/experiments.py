@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -99,6 +99,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise PinchcastError(f"unknown spec keys: {sorted(unknown)}")
         return cls(**data)
 
 

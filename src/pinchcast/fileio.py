@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_to_watts
+from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_to_watts, watts_to_dbm
 from .errors import ConfigError, TopologyError
 from .topology import Topology
 
@@ -84,25 +84,19 @@ def load_topology(path: str | Path, config: SystemConfig | None = None) -> Topol
 
 
 def topology_to_dict(topology: Topology) -> dict[str, Any]:
-    groups = []
-    for members in topology.groups:
-        users = []
-        for k in members:
-            x, y, _ = topology.user_xyz_m[k]
-            users.append([float(x), float(y)])
-        groups.append(users)
-    noise = topology.noise_w
-    out: dict[str, Any] = {"groups": groups}
-    if not np.allclose(noise, noise[0]):
-        # per-user noise: re-emit as triples
-        out["groups"] = [
-            [
-                [float(topology.user_xyz_m[k][0]), float(topology.user_xyz_m[k][1]),
-                 float(10.0 * np.log10(noise[k]) + 30.0)]
-                for k in members
-            ]
-            for members in topology.groups
-        ]
+    """The file form of ``topology``.  The noise goes in a file-wide
+    ``noise_dbm`` when every user has the same, else in each user's entry, so
+    it reloads the same whatever default noise the reader has."""
+    noise_dbm = [watts_to_dbm(w) for w in topology.noise_w]
+    per_user = len(set(noise_dbm)) > 1
+
+    def user(k: int) -> list[float]:
+        x, y, _ = topology.user_xyz_m[k]
+        return [float(x), float(y), noise_dbm[k]] if per_user else [float(x), float(y)]
+
+    out: dict[str, Any] = {"groups": [[user(k) for k in members] for members in topology.groups]}
+    if not per_user:
+        out["noise_dbm"] = noise_dbm[0]
     return out
 
 

@@ -407,7 +407,6 @@ def solve_noma(
     config: SystemConfig,
     *,
     placement: Placement | None = None,
-    n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> NomaSolution:
     """Joint placement and power optimization under cancellation decoding.
@@ -419,7 +418,7 @@ def solve_noma(
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
-        placement = random_placement(config, rng, n_antennas)
+        placement = random_placement(config, rng)
     objective = noma_objective(topology.num_groups, config)
     best, trace = seo._run_sweeps(placement, topology, config, objective)
     return noma_solution(best, trace, config)

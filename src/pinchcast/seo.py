@@ -25,14 +25,18 @@ and enable fully vectorized sweeps for cheap objectives.  A
 :class:`SweepObjective` bundles the direction, the exact objective and an
 optional screening bound; each scheme module builds its own once.
 
-``hoe_sweep`` adds a two-stage screen: a cheap per-candidate upper bound is
-computed for all candidates first, and the exact objective is evaluated only
-for candidates whose bound reaches the best exact value seen so far.  With a
-valid bound this selects exactly the same candidate as the plain sweep, in
-the element steps and the pair passes alike.  The sweep always knows the
-exact value of its current state, one of the candidates, and hands it to
-the bound as a floor: a candidate shown unable to reach it may get a loose
-bound without further work.
+Every selection is one rule (:func:`_select`): the objective scores the
+candidate columns (:meth:`SweepObjective.scores`), the best score wins, the
+lowest column among equals, and the incumbent stays when its score equals
+the best.  ``hoe_sweep`` adds hierarchical objective evaluation: a cheap
+per-candidate upper bound scores all candidates first, and the exact
+objective runs in descending bound order only while the next bound reaches
+the best exact value seen so far.  With a valid bound this selects exactly
+the same candidate as the plain sweep, whose scalar objective is the same
+scan with every bound +inf, in the element steps and the pair passes alike.
+The sweep always knows the exact value of its current state, one of the
+candidates, and hands it to the bound as a floor: a candidate shown unable
+to reach it may get a loose bound without further work.
 """
 from __future__ import annotations
 
@@ -79,7 +83,8 @@ class SweepObjective:
     ``exact`` that is maximized: its value must dominate ``exact`` on every
     candidate.  ``floor`` is the exact value of one of the candidates (-inf
     when none is known); a candidate that provably cannot reach it may get
-    any valid bound below it.
+    any valid bound below it.  :meth:`scores` is the one way a sweep ranks
+    candidates, whichever fields are set.
     """
 
     maximize: bool = True
@@ -92,6 +97,33 @@ class SweepObjective:
         if self.exact is not None:
             return float(self.exact(gains))
         return float(self.exact_batch(gains[:, None])[0])
+
+    def scores(self, A: np.ndarray, floor: float = -math.inf) -> tuple[np.ndarray, int]:
+        """Scores (L,) of the candidate columns of ``A`` and the number of
+        exact evaluations they took.
+
+        A batch objective scores every column exactly.  A scalar ``exact``
+        runs in descending bound order (every bound +inf without
+        ``bound_batch``) until the next bound falls below the best exact
+        value; the columns it skips keep their bounds, strictly below the
+        best.  The best score is therefore exact, and so is every score
+        that equals it.
+        """
+        if self.exact_batch is not None:
+            return np.asarray(self.exact_batch(A), dtype=float), A.shape[1]
+        if self.bound_batch is None:
+            scores = np.full(A.shape[1], math.inf)
+        else:
+            scores = np.array(self.bound_batch(A, floor), dtype=float)  # a copy: exact values go in
+        best = -math.inf
+        evals = 0
+        for j in np.argsort(-scores, kind="stable"):
+            if scores[j] < best:
+                break
+            scores[j] = self.exact(A[:, j])
+            evals += 1
+            best = max(best, scores[j])
+        return scores, evals
 
 
 @dataclass
@@ -252,80 +284,21 @@ def _first_true(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _select_plain_scalar(
-    A: np.ndarray, exact: ScalarObjective, maximize: bool, inc_j: int | None
-) -> tuple[int, float, int]:
-    best_j = 0
-    best_v = exact(A[:, 0])
-    inc_v = best_v if inc_j == 0 else None
-    for j in range(1, A.shape[1]):
-        v = exact(A[:, j])
-        if j == inc_j:
-            inc_v = v
-        if (v > best_v) if maximize else (v < best_v):
-            best_v, best_j = v, j
-    if inc_j is not None and inc_v == best_v:
-        best_j = inc_j  # no strict improvement over the current position
-    return best_j, best_v, A.shape[1]
-
-
-def _select_batch(
-    vals: np.ndarray, maximize: bool, inc_j: int | None
-) -> tuple[int, float]:
-    j = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-    if inc_j is not None and vals[inc_j] == vals[j]:
-        j = inc_j
-    return j, float(vals[j])
-
-
-def _select_screened(
-    A: np.ndarray, exact: ScalarObjective, bounds: np.ndarray, inc_j: int | None
-) -> tuple[int, float, int]:
-    """Maximize ``exact`` over candidate columns, skipping columns whose upper
-    bound is strictly below the best exact value seen.  Scanning in descending
-    bound order guarantees every potential optimum is evaluated, so the
-    selection (tie-breaking included) matches a full scan.  A pruned column
-    is strictly worse than the best, so it can neither win nor tie."""
-    order = np.argsort(-bounds, kind="stable")
-    best_j = -1
-    best_v = -np.inf
-    inc_v = None
-    evals = 0
-    for oi in order:
-        if bounds[oi] < best_v:
-            break
-        v = exact(A[:, oi])
-        evals += 1
-        if oi == inc_j:
-            inc_v = v
-        if v > best_v or (v == best_v and oi < best_j):
-            best_v, best_j = v, int(oi)
-    if inc_j is not None and inc_v == best_v:
-        best_j = inc_j
-    return best_j, best_v, evals
-
-
 def _select(
     A: np.ndarray, inc_j: int | None, objective: SweepObjective, floor: float = -math.inf
 ) -> tuple[int, float, int]:
-    """Best candidate column of ``A`` (incumbent kept on ties), its exact
-    value and the number of exact objective evaluations it took.
+    """Best candidate column of ``A``, its exact value and the number of
+    exact objective evaluations it took.
 
-    ``floor`` is the exact value of the incumbent column ``inc_j``; it lets
-    the screening bound stop early on columns that cannot reach it, and is
-    ignored without an incumbent.
+    The best score wins, the lowest column among equals, except that the
+    incumbent ``inc_j`` is kept when its score equals the best.  ``floor`` is
+    the incumbent's exact value; it is ignored without an incumbent.
     """
-    maximize, exact = objective.maximize, objective.exact
-    if objective.exact_batch is not None:
-        vals = np.asarray(objective.exact_batch(A), dtype=float)
-        j, v = _select_batch(vals, maximize, inc_j)
-        return j, v, A.shape[1]
-    if objective.bound_batch is None:
-        return _select_plain_scalar(A, exact, maximize, inc_j)
-    if inc_j is None:
-        floor = -math.inf
-    bounds = np.asarray(objective.bound_batch(A, floor), dtype=float)
-    return _select_screened(A, exact, bounds, inc_j)
+    scores, evals = objective.scores(A, floor if inc_j is not None else -math.inf)
+    j = int(np.argmax(scores)) if objective.maximize else int(np.argmin(scores))
+    if inc_j is not None and scores[inc_j] == scores[j]:
+        j = inc_j
+    return j, float(scores[j]), evals
 
 
 def _pair_columns(points: np.ndarray, min_spacing_m: float) -> tuple[np.ndarray, np.ndarray]:

@@ -582,7 +582,6 @@ def solve_tdma_ps(
     config: SystemConfig,
     *,
     seed_placement: Placement | None = None,
-    n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> TdmaSolution:
     """Slot-switched protocol: optimize each group's placement in isolation,
@@ -597,7 +596,7 @@ def solve_tdma_ps(
     placements: list[Placement] = []
     traces: list[SweepTrace] = []
     for gi in range(g):
-        start = seed_placement if seed_placement is not None else random_placement(config, rng, n_antennas)
+        start = seed_placement if seed_placement is not None else random_placement(config, rng)
         # the other groups' users do not enter this group's objective
         best, trace = seo._run_sweeps(start, topology.subset(gi), config, objective)
         placements.append(best)
@@ -610,7 +609,6 @@ def solve_tdma_pm(
     config: SystemConfig,
     *,
     placement: Placement | None = None,
-    n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
     equal_time: bool = False,
 ) -> TdmaSolution:
@@ -623,7 +621,7 @@ def solve_tdma_pm(
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
-        placement = random_placement(config, rng, n_antennas)
+        placement = random_placement(config, rng)
     objective = pm_objective(topology.num_groups, config, equal_time=equal_time)
     best, trace = seo._run_sweeps(placement, topology, config, objective)
     return tdma_solution("PM", [best], [trace], config, equal_time=equal_time)

@@ -116,13 +116,12 @@ def solve_tin(
     config: SystemConfig,
     *,
     placement: Placement | None = None,
-    n_antennas: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> TinSolution:
     """Optimize antenna positions for the harmonic-mean objective, then apply
     the closed-form power split."""
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng
-        placement = random_placement(config, rng, n_antennas)
+        placement = random_placement(config, rng)
     best, trace = seo._run_sweeps(placement, topology, config, tin_objective())
     return tin_solution(best, trace, config)

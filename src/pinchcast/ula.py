@@ -114,7 +114,6 @@ def solve_ula(
     scheme: str,
     config: SystemConfig,
     *,
-    n_elements: int | None = None,
     equal_time: bool = False,
 ) -> SchemeSolution:
     """Optimize the fixed array's phases for the chosen scheme.
@@ -125,7 +124,7 @@ def solve_ula(
     that group's users, since phase shifts are electronic and can change
     between slots.
     """
-    ula = UlaConfig.from_system(config, n_elements)
+    ula = UlaConfig.from_system(config)
     array = Placement(x_m=ula.positions())
     g = topology.num_groups
     if scheme == "tdma-ps":
@@ -134,18 +133,13 @@ def solve_ula(
         return replace(sol.to_solution(), baseline=True, phases=np.array([ph for ph, _ in runs]))
 
     if scheme == "tin":
-        objective = tin_objective()
+        objective, solution = tin_objective(), lambda tr: tin_solution(array, tr, config)
     elif scheme == "noma":
-        objective = noma_objective(g, config)
+        objective, solution = noma_objective(g, config), lambda tr: noma_solution(array, tr, config)
     elif scheme == "tdma-pm":
         objective = pm_objective(g, config, equal_time=equal_time)
+        solution = lambda tr: tdma_solution("PM", [array], [tr], config, equal_time=equal_time)  # noqa: E731
     else:
         raise PinchcastError(f"unknown scheme {scheme!r}")
     phases, trace = _phase_sweep(topology, config, ula, objective)
-    if scheme == "tin":
-        sol = tin_solution(array, trace, config)
-    elif scheme == "noma":
-        sol = noma_solution(array, trace, config)
-    else:
-        sol = tdma_solution("PM", [array], [trace], config, equal_time=equal_time)
-    return replace(sol.to_solution(), baseline=True, phases=phases)
+    return replace(solution(trace).to_solution(), baseline=True, phases=phases)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,13 +109,25 @@ class TestFileIo:
         assert np.all(topo.user_xyz_m[:, 2] == 0.0)
 
     def test_topology_save_load_round_trip(self, tmp_path):
+        # noise uniform at a non-default level, per-user values 2e-6 apart,
+        # and the default; each reloads the same under the reader's default
+        # noise or another one
         cfg = SystemConfig()
         topo = generate_topology("uniform_random", cfg, np.random.default_rng(3), num_groups=2, num_users=6)
-        path = tmp_path / "t.yaml"
-        save_topology(topo, path)
-        back = load_topology(path, cfg)
-        assert np.allclose(back.user_xyz_m, topo.user_xyz_m, rtol=0, atol=1e-12)
-        assert back.groups == topo.groups
+        k = topo.num_users
+        noises = {
+            "uniform": np.full(k, dbm_to_watts(-85.0)),
+            "per-user": dbm_to_watts(-85.0) * (1.0 + 2e-6 * np.arange(k)),
+            "default": topo.noise_w,
+        }
+        for name, noise in noises.items():
+            path = tmp_path / f"{name}.yaml"
+            save_topology(replace(topo, noise_w=noise), path)
+            for reader in (cfg, cfg.replace(noise_w=dbm_to_watts(-80.0))):
+                back = load_topology(path, reader)
+                assert np.allclose(back.user_xyz_m, topo.user_xyz_m, rtol=0, atol=1e-12)
+                assert back.groups == topo.groups
+                assert np.allclose(back.noise_w, noise, rtol=1e-12, atol=0), name
 
 
 class TestRunExperiment:
@@ -230,6 +243,14 @@ class TestEmit:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "scheme,baseline,trace,sweep,objective"
         assert len(lines) == 1 + len(sol.traces[0]["objective"])
+
+
+class TestExperimentSpec:
+    def test_from_dict_rejects_unknown_keys(self):
+        data = {"sweep": "power_dbm", "values": [0.0], "trials": 3}
+        assert ExperimentSpec.from_dict(data).trials == 3
+        with pytest.raises(PinchcastError, match="'trial'"):
+            ExperimentSpec.from_dict({**data, "trial": 3})
 
 
 class TestPresets:

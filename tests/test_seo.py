@@ -331,6 +331,58 @@ class TestScreeningFloor:
         assert refined > 0  # and tdma-pm's dual refined at a floor
 
 
+class TestSelectionRule:
+    """One selection rule over hand-built gain matrices: the best score wins,
+    the lowest column among equals, and an incumbent that ties the best stays."""
+
+    # bottleneck (min over rows): 1, 4, 4, 2, 4, 3; the best, 4, ties at 1, 2, 4
+    A = np.array([[1.0, 4.0, 6.0, 2.0, 4.0, 3.0],
+                  [5.0, 4.0, 4.0, 9.0, 7.0, 3.0]])
+
+    @staticmethod
+    def _objectives(sign: float):
+        # batch, plain scalar and screened forms of sign * bottleneck; the
+        # mid-range bound (min + max) / 2 is valid for the bottleneck
+        maximize = sign > 0
+        mid = lambda A, floor: (A.min(axis=0) + A.max(axis=0)) / 2.0  # noqa: E731
+        forms = {
+            "batch": SweepObjective(maximize=maximize, exact_batch=lambda A: sign * A.min(axis=0)),
+            "plain": SweepObjective(maximize=maximize, exact=lambda c: sign * float(c.min())),
+        }
+        if maximize:
+            forms["screened"] = SweepObjective(exact=lambda c: float(c.min()), bound_batch=mid)
+        return forms
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_forms_agree_and_keep_a_tied_incumbent(self, sign):
+        best = sign * 4.0
+        values = sign * self.A.min(axis=0)
+        for inc_j in (None, 0, 1, 2, 3, 4, 5):
+            floor = -math.inf if inc_j is None else values[inc_j]
+            want = inc_j if inc_j is not None and values[inc_j] == best else 1
+            for name, objective in self._objectives(sign).items():
+                j, v, evals = _select(self.A, inc_j, objective, floor)
+                assert (j, v) == (want, best), (name, inc_j)
+                if name == "screened":
+                    # columns 3, 4, 2, 1 by bound; column 0's bound 3 < 4 stops it
+                    assert evals == 4 < self.A.shape[1]
+                else:
+                    assert evals == self.A.shape[1]
+
+    def test_random_ties_pick_the_same_column(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            A = rng.integers(1, 5, size=(3, 12)).astype(float)
+            values = A.min(axis=0)
+            for inc_j in (None, int(rng.integers(12))):
+                got = {name: _select(A, inc_j, objective) for name, objective in self._objectives(1.0).items()}
+                best = values.max()
+                tied = inc_j is not None and values[inc_j] == best
+                want = inc_j if tied else int(np.flatnonzero(values == best)[0])
+                assert {r[:2] for r in got.values()} == {(want, best)}
+                assert got["screened"][2] <= got["plain"][2] == A.shape[1]
+
+
 class TestSweepEndState:
     """Solutions are built from the gains of the column the sweep selected last."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinchcast import (
+    PinchcastError,
     Placement,
     SystemConfig,
     Topology,
@@ -20,6 +21,7 @@ from pinchcast.channel import distances
 from pinchcast.noma import noma_objective
 from pinchcast.seo import SweepObjective
 from pinchcast.tdma import pm_objective
+from pinchcast import ula as ula_module
 from pinchcast.ula import _phase_sweep
 
 from conftest import make_topology
@@ -114,6 +116,16 @@ class TestSolveUla:
             assert sol.baseline
             assert sol.mmf_rate == pytest.approx(sol.per_group_rates.min(), rel=1e-6)
             assert sol.phases is not None
+
+    def test_unknown_scheme_raises_before_any_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a phase sweep ran")
+
+        monkeypatch.setattr(ula_module, "_phase_sweep", no_sweep)
+        cfg = SystemConfig(grid_points=32, num_antennas=3)
+        topo = make_topology(np.random.default_rng(2), cfg, [2, 2])
+        with pytest.raises(PinchcastError, match="fdma"):
+            solve_ula(topo, "fdma", cfg)
 
     def test_equal_time_variant_matches_inverse_gain_split(self):
         from pinchcast.tdma import equal_time_power
