@@ -44,17 +44,22 @@ def in_waveguide_phase(placement: Placement, config: SystemConfig) -> np.ndarray
     return np.sqrt(1.0 / n) * np.exp(-1j * config.guided_wavenumber * x)
 
 
+def free_space_terms(x_m: np.ndarray, user_xyz: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Free-space LoS element channels from antennas at ``x_m``, shape (K, M).
+
+    Entry (k, m) is sqrt(eta) / D * exp(-j * k0 * D) with D the distance
+    from antenna m to user k.
+    """
+    d = distances(x_m, user_xyz, config)
+    amp = np.sqrt(config.path_gain_m2) / d
+    return amp * np.exp(-1j * config.free_space_wavenumber * d)
+
+
 def free_space_channel(
     placement: Placement, user_xyz: np.ndarray, config: SystemConfig
 ) -> np.ndarray:
-    """Free-space LoS element channels to one user, shape (N,).
-
-    Element n is sqrt(eta) / D_n * exp(-j * k0 * D_n) with D_n the distance
-    from antenna n to the user.
-    """
-    d = distances(placement.x_m, np.asarray(user_xyz, dtype=float).reshape(1, 3), config)[0]
-    amp = np.sqrt(config.path_gain_m2) / d
-    return amp * np.exp(-1j * config.free_space_wavenumber * d)
+    """Free-space LoS element channels to one user, shape (N,)."""
+    return free_space_terms(placement.x_m, user_xyz, config)[0]
 
 
 def effective_channel(placement: Placement, user_xyz, config: SystemConfig) -> complex:

@@ -17,9 +17,11 @@ import numpy as np
 
 from . import experiments
 from .config import SystemConfig
+from .errors import PinchcastError
 from .experiments import (
     PRESETS,
     SCHEMES,
+    TOPOLOGY_MODES,
     ExperimentSpec,
     emit,
     emit_traces,
@@ -141,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", help="topology YAML file (default: random drop)")
     p.add_argument("--config", help="system config YAML file")
     p.add_argument("--schemes", help="comma-separated schemes (default: all)")
-    p.add_argument("--mode", default="uniform_random",
-                   choices=("uniform_random", "heterogeneous_clusters"))
+    p.add_argument("--mode", default="uniform_random", choices=TOPOLOGY_MODES)
     p.add_argument("--groups", type=int, default=4)
     p.add_argument("--users", type=int, default=12)
     p.add_argument("--baseline", action="store_true")
@@ -159,7 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PinchcastError as exc:
+        print(f"pinchcast: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -49,24 +53,16 @@ def generate_topology(
     if num_groups < 1 or num_users < num_groups:
         raise PinchcastError("need at least one user per group")
     base, rem = divmod(num_users, num_groups)
-    sizes = [base + (1 if gi < rem else 0) for gi in range(num_groups)]
+    sizes = [base + (gi < rem) for gi in range(num_groups)]
     unit = rng.random((num_users, 2))
-    xyz = np.zeros((num_users, 3))
-    groups: list[tuple[int, ...]] = []
-    idx = 0
-    for gi, size in enumerate(sizes):
-        members = tuple(range(idx, idx + size))
-        block = unit[idx : idx + size]
-        if mode == "uniform_random":
-            xyz[idx : idx + size, 0] = block[:, 0] * config.waveguide_length_m
-        else:
-            width = config.waveguide_length_m / num_groups
-            xyz[idx : idx + size, 0] = (gi + block[:, 0]) * width
-        xyz[idx : idx + size, 1] = block[:, 1] * config.region_depth_m
-        groups.append(members)
-        idx += size
-    noise = np.full(num_users, config.noise_w)
-    return Topology(groups=tuple(groups), user_xyz_m=xyz, noise_w=noise)
+    if mode == "uniform_random":
+        x = unit[:, 0] * config.waveguide_length_m
+    else:
+        group_of = np.repeat(np.arange(num_groups), sizes)
+        x = (group_of + unit[:, 0]) * (config.waveguide_length_m / num_groups)
+    xyz = np.column_stack([x, unit[:, 1] * config.region_depth_m, np.zeros(num_users)])
+    groups = tuple(tuple(range(end - size, end)) for size, end in zip(sizes, np.cumsum(sizes)))
+    return Topology(groups=groups, user_xyz_m=xyz, noise_w=np.full(num_users, config.noise_w))
 
 
 @dataclass
@@ -89,8 +85,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.sweep not in SWEEP_VARIABLES:
             raise PinchcastError(f"sweep must be one of {SWEEP_VARIABLES}, got {self.sweep!r}")
-        if not self.values:
-            raise PinchcastError("values must be nonempty")
+        if not (isinstance(self.values, list) and self.values and all(isinstance(v, numbers.Real) for v in self.values)):
+            raise PinchcastError(f"values must be a non-empty list of numbers, got {self.values!r}")
         if self.trials < 1:
             raise PinchcastError("trials must be >= 1")
         for s in self.schemes:
@@ -102,7 +98,16 @@ class ExperimentSpec:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise PinchcastError(f"unknown spec keys: {sorted(unknown)}")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in data]
+        if missing:
+            raise PinchcastError(f"missing spec keys: {missing}")
         return cls(**data)
+
+    @property
+    def runs(self) -> list[tuple[str, bool]]:
+        """The (scheme, baseline) solves at every sweep value, in row order."""
+        return [(s, b) for b in ((False, True) if self.baseline else (False,)) for s in self.schemes]
 
 
 def spec_point_config(spec: ExperimentSpec, base: SystemConfig, value: float) -> SystemConfig:
@@ -146,9 +151,7 @@ def _solve_one(
 def _run_trial(spec: ExperimentSpec, base: SystemConfig, trial: int, trial_seq) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
     value_seqs = trial_seq.spawn(len(spec.values))
-    runs = [(s, False) for s in spec.schemes]
-    if spec.baseline:
-        runs += [(s, True) for s in spec.schemes]
+    runs = spec.runs
     for v_idx, value in enumerate(spec.values):
         cfg = spec_point_config(spec, base, value)
         g, k = spec_point_group_count(spec, value)
@@ -186,13 +189,13 @@ class ExperimentResult:
 
     def summary(self) -> list[dict[str, Any]]:
         """Mean and standard error per (sweep value, scheme, baseline)."""
+        groups: dict[tuple[float, str, bool], list[dict[str, Any]]] = defaultdict(list)
+        for r in self.rows:
+            groups[r["sweep_value"], r["scheme"], r["baseline"]].append(r)
         out: list[dict[str, Any]] = []
-        runs = [(s, False) for s in self.spec.schemes]
-        if self.spec.baseline:
-            runs += [(s, True) for s in self.spec.schemes]
         for value in self.spec.values:
-            for scheme, is_baseline in runs:
-                matching = _matching_rows(self.rows, value, scheme, is_baseline)
+            for scheme, is_baseline in self.spec.runs:
+                matching = groups.get((value, scheme, is_baseline), [])
                 rates = [r["mmf_rate"] for r in matching if not r["error"]]
                 failed = sum(1 for r in matching if r["error"])
                 n = len(rates)
@@ -218,14 +221,6 @@ class ExperimentResult:
         raise KeyError((value, scheme, baseline))
 
 
-def _matching_rows(rows: list[dict[str, Any]], value: float, scheme: str, baseline: bool):
-    return [
-        r
-        for r in rows
-        if r["sweep_value"] == value and r["scheme"] == scheme and r["baseline"] == baseline
-    ]
-
-
 def run_experiment(
     spec: ExperimentSpec,
     config: SystemConfig | None = None,
@@ -235,23 +230,15 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute every (value, scheme, trial) combination of a sweep spec."""
     base = config if config is not None else SystemConfig()
-    root = np.random.SeedSequence(spec.seed)
-    trial_seqs = root.spawn(spec.trials)
+    trial = partial(_run_trial, spec, base)
+    trial_seqs = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     rows: list[dict[str, Any]] = []
-    if workers <= 1:
-        for t in range(spec.trials):
-            rows.extend(_run_trial(spec, base, t, trial_seqs[t]))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(trial, range(spec.trials), trial_seqs)
+        for done, trial_rows in enumerate(results, start=1):
+            rows.extend(trial_rows)
             if progress is not None:
-                progress(t + 1, spec.trials)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_trial, spec, base, t, trial_seqs[t]) for t in range(spec.trials)
-            ]
-            for t, fut in enumerate(futures):
-                rows.extend(fut.result())
-                if progress is not None:
-                    progress(t + 1, spec.trials)
+                progress(done, spec.trials)
     return ExperimentResult(spec=spec, rows=rows)
 
 
@@ -264,40 +251,36 @@ def emit(result: ExperimentResult, out_dir: str | Path, *, per_trial: bool = Fal
     if not result.rows:
         raise PinchcastError("refusing to emit empty results")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    summary_path = out / "summary.csv"
-    try:
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(SUMMARY_HEADER)
-            for row in result.summary():
-                w.writerow([_fmt(row[k]) for k in SUMMARY_HEADER])
-    except OSError as exc:
-        raise PinchcastError(f"failed to write {summary_path}: {exc}") from exc
-    paths.append(summary_path)
+    summary = ([row[k] for k in SUMMARY_HEADER] for row in result.summary())
+    paths = [_write_csv(out / "summary.csv", SUMMARY_HEADER, summary)]
     if per_trial:
-        trial_path = out / "trials.csv"
-        with open(trial_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRIAL_HEADER)
-            for row in result.rows:
-                w.writerow([_fmt(row[k]) for k in TRIAL_HEADER])
-        paths.append(trial_path)
+        trials = ([row[k] for k in TRIAL_HEADER] for row in result.rows)
+        paths.append(_write_csv(out / "trials.csv", TRIAL_HEADER, trials))
     return paths
 
 
 def emit_traces(solutions: list[SchemeSolution], path: str | Path) -> Path:
     """Convergence traces as long-format CSV (scheme, sweep index, objective)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(("scheme", "baseline", "trace", "sweep", "objective"))
-        for sol in solutions:
-            for t_idx, tr in enumerate(sol.traces):
-                for s_idx, obj in enumerate(tr["objective"]):
-                    w.writerow((sol.scheme, _fmt(sol.baseline), t_idx, s_idx, _fmt(obj)))
+    rows = (
+        (sol.scheme, sol.baseline, t_idx, s_idx, obj)
+        for sol in solutions
+        for t_idx, tr in enumerate(sol.traces)
+        for s_idx, obj in enumerate(tr["objective"])
+    )
+    return _write_csv(Path(path), ("scheme", "baseline", "trace", "sweep", "objective"), rows)
+
+
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[Iterable[Any]]) -> Path:
+    """Write a header and rows, each cell through :func:`_fmt`, creating the
+    parent directory; any failure to write raises :class:`PinchcastError`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([_fmt(v) for v in row] for row in rows)
+    except OSError as exc:
+        raise PinchcastError(f"failed to write {path}: {exc}") from exc
     return path
 
 

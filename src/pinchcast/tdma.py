@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -156,6 +157,13 @@ def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarra
     return out.reshape(shape)
 
 
+def _equal_slot_rate(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
+    """Common rate of each gain column with every slot 1/G long and powers
+    inversely proportional to the gains: log2(1 + G p_t / sum(1/a)) / G."""
+    g = gain_matrix.shape[0]
+    return np.log2(1.0 + g * p_t / np.sum(1.0 / gain_matrix, axis=0)) / g
+
+
 def _frontier_dual_bound(
     gain_matrix: np.ndarray, p_t: float, steps: int = 3, floor: float = -np.inf
 ) -> np.ndarray:
@@ -173,8 +181,7 @@ def _frontier_dual_bound(
     """
     a = np.asarray(gain_matrix, dtype=float)
     g = a.shape[0]
-    t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / a, axis=0)) / g
-    v = LN2 * g * t_eq
+    v = LN2 * g * _equal_slot_rate(a, p_t)
     w = _omega_of_v(v, np.expm1(v))
     nu = np.exp(np.mean(np.log(w / a), axis=0))  # geometric mean of the slot multipliers
     best = np.full(a.shape[1], np.inf)
@@ -229,8 +236,7 @@ def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
         g = a.shape[0]
         if g == 1:
             return noma_bound(a, floor)
-        t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / a, axis=0)) / g
-        floor = max(t_eq.max(), floor)
+        floor = max(_equal_slot_rate(a, p_t).max(), floor)
         b = noma_bound(a, floor)
         cols = np.flatnonzero(b >= floor)
         if cols.size <= _DUAL_MIN_COLS:
@@ -530,11 +536,7 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
     p_t = config.power_budget_w
     g = num_groups
     if equal_time and g > 1:
-        def eq_rate(gain_matrix: np.ndarray) -> np.ndarray:
-            f_a = np.sum(1.0 / gain_matrix, axis=0)
-            return np.log2(1.0 + g * p_t / f_a) / g
-
-        return SweepObjective(exact_batch=eq_rate)
+        return SweepObjective(exact_batch=partial(_equal_slot_rate, p_t=p_t))
     if g == 1:
         return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
     return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import distances
+from .channel import free_space_terms
 from .config import SystemConfig
 from .errors import PinchcastError
 from .noma import noma_objective, noma_solution
@@ -65,19 +65,10 @@ class UlaConfig:
         return 2.0 * math.pi * np.arange(self.phase_levels) / self.phase_levels
 
 
-def _element_channels(ula: UlaConfig, topology: Topology, config: SystemConfig) -> np.ndarray:
-    """Per-element free-space channels (no phase weights), shape (K, N)."""
-    d = distances(ula.positions(), topology.user_xyz_m, config)
-    amp = np.sqrt(config.path_gain_m2) / d
-    return amp * np.exp(-1j * config.free_space_wavenumber * d)
-
-
 def ula_effective_channel(phases: np.ndarray, user_xyz, config: SystemConfig) -> complex:
     """Channel seen by one user under phase weights exp(j*theta)/sqrt(N)."""
     phases = np.asarray(phases, dtype=float)
-    ula = UlaConfig.from_system(config, phases.size)
-    d = distances(ula.positions(), np.asarray(user_xyz, dtype=float).reshape(1, 3), config)[0]
-    elem = np.sqrt(config.path_gain_m2) / d * np.exp(-1j * config.free_space_wavenumber * d)
+    elem = free_space_terms(UlaConfig.from_system(config, phases.size).positions(), user_xyz, config)[0]
     weights = np.exp(1j * phases) / math.sqrt(phases.size)
     return complex(elem @ weights)
 
@@ -90,7 +81,7 @@ def _phase_sweep(
     n = ula.num_elements
     phases = np.zeros(n)
     order, spans = group_layout(topology)
-    elem = _element_channels(ula, topology, config)[order]  # (K, N), group by group
+    elem = free_space_terms(ula.positions(), topology.user_xyz_m, config)[order]  # (K, N), group by group
     codebook = ula.codebook()
     phasors = np.exp(1j * codebook)                        # (L,)
     noise = topology.noise_w[order]

@@ -235,14 +235,29 @@ class TestEmit:
         with pytest.raises(PinchcastError):
             emit(res, tmp_path)
 
-    def test_trace_emission(self, tmp_path):
+    def _trace_solution(self):
         cfg = SystemConfig(waveguide_length_m=10.0, grid_points=30, num_antennas=2)
         topo = generate_topology("uniform_random", cfg, np.random.default_rng(0), num_groups=2, num_users=4)
-        sol = solve_tin(topo, cfg, rng=np.random.default_rng(1)).to_solution()
+        return solve_tin(topo, cfg, rng=np.random.default_rng(1)).to_solution()
+
+    def test_trace_emission(self, tmp_path):
+        sol = self._trace_solution()
         path = emit_traces([sol], tmp_path / "trace.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "scheme,baseline,trace,sweep,objective"
         assert len(lines) == 1 + len(sol.traces[0]["objective"])
+
+    def test_unusable_output_paths_raise_pinchcast_error(self, tmp_path):
+        res = self._result()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(PinchcastError, match="summary.csv"):
+            emit(res, blocker)
+        (tmp_path / "out" / "trials.csv").mkdir(parents=True)
+        with pytest.raises(PinchcastError, match="trials.csv"):
+            emit(res, tmp_path / "out", per_trial=True)
+        with pytest.raises(PinchcastError, match="trace.csv"):
+            emit_traces([self._trace_solution()], blocker / "trace.csv")
 
 
 class TestExperimentSpec:
@@ -251,6 +266,12 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_dict(data).trials == 3
         with pytest.raises(PinchcastError, match="'trial'"):
             ExperimentSpec.from_dict({**data, "trial": 3})
+
+    def test_from_dict_rejects_malformed_values(self):
+        with pytest.raises(PinchcastError, match="missing spec keys: \\['values'\\]"):
+            ExperimentSpec.from_dict({"sweep": "power_dbm"})
+        with pytest.raises(PinchcastError, match="non-empty list of numbers"):
+            ExperimentSpec.from_dict({"sweep": "power_dbm", "values": 5})
 
 
 class TestPresets:
@@ -370,6 +391,29 @@ class TestCli:
         )
         assert r.returncode == 0, r.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, config",
+        [
+            ({"sweep": "power_dbm", "values": [0.0]}, {"grid_points": 20, "bogus": 1}),
+            ({"sweep": "power_dbm", "values": [0.0], "trial": 3}, {}),
+            ({"sweep": "power_dbm"}, {}),
+            ({"sweep": "power_dbm", "values": 5}, {}),
+        ],
+        ids=["unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values"],
+    )
+    def test_input_errors_end_in_one_line(self, tmp_path, spec, config):
+        spec_path, cfg_path = tmp_path / "spec.yaml", tmp_path / "cfg.yaml"
+        spec_path.write_text(yaml.safe_dump(spec))
+        cfg_path.write_text(yaml.safe_dump(config))
+        r = self._run(
+            "experiment", "--spec", str(spec_path), "--config", str(cfg_path),
+            "--out", str(tmp_path / "results"),
+        )
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pinchcast: "), r.stderr
 
     def test_validate_verb(self):
         r = self._run("validate")
