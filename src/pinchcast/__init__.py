@@ -35,7 +35,6 @@ from .experiments import (
 from .fileio import load_config, load_topology, save_topology
 from .noma import (
     DecodingOrder,
-    NomaSolution,
     decoding_order,
     noma_mmf_bisection,
     noma_upper_bound,
@@ -56,7 +55,6 @@ from .seo import (
     seo_sweep,
 )
 from .tdma import (
-    TdmaSolution,
     TimeEnergyAllocation,
     equal_time_power,
     min_energy,
@@ -68,7 +66,7 @@ from .tdma import (
     solve_tdma_ps,
     tau_from_nu,
 )
-from .tin import TinSolution, solve_tin, tin_ceiling, tin_placement_objective, tin_power
+from .tin import solve_tin, tin_ceiling, tin_placement_objective, tin_power
 from .topology import GroupGains, Placement, Topology
 from .ula import UlaConfig, solve_ula, ula_effective_channel
 

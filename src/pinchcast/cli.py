@@ -58,7 +58,10 @@ def _cmd_solve(args) -> int:
         print(f"{label:14s}: {np.array2string(p, precision=3)}")
     print(f"sweeps        : {sol.iterations} (converged: {sol.converged})")
     if args.out:
-        Path(args.out).write_text(sol.to_json(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(sol.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise PinchcastError(f"failed to write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     return 0
 

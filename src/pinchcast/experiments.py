@@ -65,6 +65,11 @@ def generate_topology(
     return Topology(groups=groups, user_xyz_m=xyz, noise_w=np.full(num_users, config.noise_w))
 
 
+def _is_number(v: Any, kind: type = numbers.Real) -> bool:
+    """Whether ``v`` is a ``kind`` number; a bool is not one."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 @dataclass
 class ExperimentSpec:
     """One Monte-Carlo sweep: which variable, which values, which schemes."""
@@ -85,10 +90,19 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.sweep not in SWEEP_VARIABLES:
             raise PinchcastError(f"sweep must be one of {SWEEP_VARIABLES}, got {self.sweep!r}")
-        if not (isinstance(self.values, list) and self.values and all(isinstance(v, numbers.Real) for v in self.values)):
+        if not (isinstance(self.values, list) and self.values and all(map(_is_number, self.values))):
             raise PinchcastError(f"values must be a non-empty list of numbers, got {self.values!r}")
+        for name in ("trials", "seed", "num_groups", "num_users", "num_antennas", "users_per_group"):
+            v = getattr(self, name)
+            if not (_is_number(v, numbers.Integral) or (v is None and name == "users_per_group")):
+                raise PinchcastError(f"{name} must be an integer, got {v!r}")
+        for name in ("baseline", "equal_time"):
+            if not isinstance(getattr(self, name), bool):
+                raise PinchcastError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise PinchcastError("trials must be >= 1")
+        if self.seed < 0:
+            raise PinchcastError("seed must be >= 0")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise PinchcastError(f"unknown scheme {s!r}")
@@ -138,13 +152,13 @@ def _solve_one(
     if baseline:
         return solve_ula(topology, scheme, config, equal_time=equal_time)
     if scheme == "tin":
-        return solve_tin(topology, config, rng=rng).to_solution()
+        return solve_tin(topology, config, rng=rng)
     if scheme == "noma":
-        return solve_noma(topology, config, rng=rng).to_solution()
+        return solve_noma(topology, config, rng=rng)
     if scheme == "tdma-ps":
-        return solve_tdma_ps(topology, config, rng=rng).to_solution()
+        return solve_tdma_ps(topology, config, rng=rng)
     if scheme == "tdma-pm":
-        return solve_tdma_pm(topology, config, rng=rng, equal_time=equal_time).to_solution()
+        return solve_tdma_pm(topology, config, rng=rng, equal_time=equal_time)
     raise PinchcastError(f"unknown scheme {scheme!r}")
 
 

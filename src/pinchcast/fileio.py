@@ -25,8 +25,12 @@ from .topology import Topology
 
 
 def _load_yaml(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        # a YAML error spans several lines; the message is kept to one
+        raise ConfigError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -19,9 +19,9 @@ import numpy as np
 from . import seo
 from .channel import group_gains
 from .config import SystemConfig
-from .records import SchemeSolution, trace_summary
+from .records import SchemeSolution
 from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
-from .topology import GroupGains, Placement, Topology
+from .topology import Placement, Topology
 
 GAMMA_BISECT_ITERS = 60  # steps of the equalized-SINR bisection
 
@@ -317,37 +317,6 @@ def single_pa_asymptotic_objective(
     return float(np.min([(p_t * a_sorted[g - 1]) ** (1.0 / g) for g in range(1, a_sorted.size + 1)]))
 
 
-@dataclass
-class NomaSolution:
-    equalized_sinr: float
-    power_w: np.ndarray
-    order: DecodingOrder
-    placement: Placement
-    gains: GroupGains
-    mmf_rate: float
-    sic_feasibility_margin: float
-    trace: SweepTrace
-
-    def to_solution(self) -> SchemeSolution:
-        rates = np.log2(1.0 + noma_sinrs(self.gains.a, self.power_w))
-        return SchemeSolution(
-            scheme="noma",
-            mmf_rate=self.mmf_rate,
-            per_group_rates=rates,
-            power_w=self.power_w,
-            tau=np.ones(self.gains.num_groups),
-            placements=[self.placement.x_m],
-            iterations=self.trace.sweeps,
-            converged=self.trace.converged,
-            traces=[trace_summary(self.trace)],
-            extras={
-                "equalized_sinr": self.equalized_sinr,
-                "decoding_order": self.order.order.tolist(),
-                "sic_feasibility_margin": self.sic_feasibility_margin,
-            },
-        )
-
-
 def two_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized two-group equalized rate over candidate gain columns."""
 
@@ -385,20 +354,22 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
     return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t))
 
 
-def noma_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> NomaSolution:
+def noma_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> SchemeSolution:
     """Equalized-SINR power split for the gains a sweep ended on; its rate is
     the sweep's last objective value."""
-    gains = GroupGains(a=trace.gains)
-    gamma, powers = noma_mmf_bisection(gains.a, config.power_budget_w)
-    return NomaSolution(
-        equalized_sinr=gamma,
-        power_w=powers,
-        order=decoding_order(gains.a),
-        placement=placement,
-        gains=gains,
+    a = trace.gains
+    gamma, powers = noma_mmf_bisection(a, config.power_budget_w)
+    return SchemeSolution.from_sweeps(
+        "noma", [placement], [trace],
         mmf_rate=math.log2(1.0 + gamma),
-        sic_feasibility_margin=sic_feasibility_margin(gains.a, powers),
-        trace=trace,
+        per_group_rates=np.log2(1.0 + noma_sinrs(a, powers)),
+        power_w=powers,
+        tau=np.ones(a.size),
+        extras={
+            "equalized_sinr": gamma,
+            "decoding_order": decoding_order(a).order.tolist(),
+            "sic_feasibility_margin": sic_feasibility_margin(a, powers),
+        },
     )
 
 
@@ -408,7 +379,7 @@ def solve_noma(
     *,
     placement: Placement | None = None,
     rng: np.random.Generator | None = None,
-) -> NomaSolution:
+) -> SchemeSolution:
     """Joint placement and power optimization under cancellation decoding.
 
     The decoding order is recomputed for every candidate placement; see

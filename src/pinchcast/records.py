@@ -1,4 +1,10 @@
-"""Common solution record emitted by every scheme solver."""
+"""The one result record of a solve.
+
+Every solver (``solve_tin``, ``solve_noma``, ``solve_tdma_ps``,
+``solve_tdma_pm``, ``solve_ula``) and every gains-to-solution step
+(``tin_solution``, ``noma_solution``, ``tdma_solution``) returns a
+:class:`SchemeSolution`; scheme-specific values go to its ``extras``.
+"""
 from __future__ import annotations
 
 import json
@@ -9,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .seo import SweepTrace
+from .topology import Placement
 
 RATE_CONSISTENCY_RTOL = 1e-6
 
@@ -59,6 +66,27 @@ class SchemeSolution:
             raise ValueError(
                 f"mmf_rate {self.mmf_rate} inconsistent with min group rate {lo}"
             )
+
+    @classmethod
+    def from_sweeps(
+        cls, scheme: str, placements: list[Placement], traces: list[SweepTrace], **resources: Any
+    ) -> "SchemeSolution":
+        """The record of the placements the sweeps in ``traces`` ended on,
+        with the resource split (rates, powers, slot fractions, extras)."""
+        return cls(
+            scheme=scheme,
+            placements=[p.x_m for p in placements],
+            iterations=max(t.sweeps for t in traces),
+            converged=all(t.converged for t in traces),
+            traces=[trace_summary(t) for t in traces],
+            **resources,
+        )
+
+    def to_solution(self) -> "SchemeSolution":
+        # the record itself, kept only for perfbench/workloads.py, which calls
+        # it on every movable solve's result; it goes with that call
+        # (ROADMAP item 3)
+        return self
 
     @property
     def num_groups(self) -> int:

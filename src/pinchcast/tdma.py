@@ -30,7 +30,7 @@ from .channel import group_gains
 from .config import SystemConfig
 from .errors import PinchcastError
 from .noma import lone_group_rate_batch, mmf_rate_bound_batch
-from .records import SchemeSolution, trace_summary
+from .records import SchemeSolution
 from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
 
@@ -498,32 +498,6 @@ def single_pa_pm(
     return equal_time_power(gains.a, p_t)
 
 
-@dataclass
-class TdmaSolution:
-    protocol: str                 # "PS" or "PM"
-    placements: list[Placement]
-    allocation: TimeEnergyAllocation
-    gains: np.ndarray             # per-group gains seen by the allocator
-    mmf_rate: float
-    per_group_rates: np.ndarray
-    traces: list[SweepTrace]
-    equal_time: bool = False
-
-    def to_solution(self) -> SchemeSolution:
-        return SchemeSolution(
-            scheme=f"tdma-{self.protocol.lower()}",
-            mmf_rate=self.mmf_rate,
-            per_group_rates=self.per_group_rates,
-            power_w=self.allocation.power_w,
-            tau=self.allocation.tau,
-            placements=[p.x_m for p in self.placements],
-            iterations=max(t.sweeps for t in self.traces),
-            converged=all(t.converged for t in self.traces),
-            traces=[trace_summary(t) for t in self.traces],
-            extras={"nu": self.allocation.nu, "equal_time": self.equal_time},
-        )
-
-
 def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = False) -> SweepObjective:
     """Shared-placement (or phase) sweep objective: the frame's common rate.
 
@@ -549,7 +523,7 @@ def tdma_solution(
     config: SystemConfig,
     *,
     equal_time: bool = False,
-) -> TdmaSolution:
+) -> SchemeSolution:
     """Time and energy split for the per-group gains the sweeps ended on.
 
     A slot-switched (PS) sweep runs on its own group's users alone, so slot
@@ -567,15 +541,13 @@ def tdma_solution(
         alloc = TimeEnergyAllocation(tau=tau, energy_w=tau * powers, nu=math.nan)
     else:
         t_star, alloc = pm_resource_allocation(gains, p_t)
-    return TdmaSolution(
-        protocol=protocol,
-        placements=placements,
-        allocation=alloc,
-        gains=gains,
+    return SchemeSolution.from_sweeps(
+        f"tdma-{protocol.lower()}", placements, traces,
         mmf_rate=t_star,
         per_group_rates=alloc.rates(gains),
-        traces=traces,
-        equal_time=equal_time,
+        power_w=alloc.power_w,
+        tau=alloc.tau,
+        extras={"nu": alloc.nu, "equal_time": equal_time},
     )
 
 
@@ -585,7 +557,7 @@ def solve_tdma_ps(
     *,
     seed_placement: Placement | None = None,
     rng: np.random.Generator | None = None,
-) -> TdmaSolution:
+) -> SchemeSolution:
     """Slot-switched protocol: optimize each group's placement in isolation,
     then split time and energy across the resulting gains.
 
@@ -613,7 +585,7 @@ def solve_tdma_pm(
     placement: Placement | None = None,
     rng: np.random.Generator | None = None,
     equal_time: bool = False,
-) -> TdmaSolution:
+) -> SchemeSolution:
     """Shared-placement protocol: one placement serves every slot, optimized
     against the joint time/energy allocator (see :func:`pm_objective`).
 

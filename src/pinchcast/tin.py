@@ -9,16 +9,15 @@ log2(1 + 1/(G-1)) regardless of placement once interference dominates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import seo
 from .channel import group_gains
 from .config import SystemConfig
-from .records import SchemeSolution, trace_summary
+from .records import SchemeSolution
 from .seo import SweepObjective, SweepTrace, random_placement
-from .topology import GroupGains, Placement, Topology
+from .topology import Placement, Topology
 
 
 def tin_power(gains: np.ndarray, p_t: float) -> tuple[float, np.ndarray]:
@@ -61,53 +60,23 @@ def inv_cnr_sum_batch(gain_matrix: np.ndarray) -> np.ndarray:
     return np.sum(1.0 / gain_matrix, axis=0)
 
 
-@dataclass
-class TinSolution:
-    equalized_sinr: float
-    power_w: np.ndarray
-    placement: Placement
-    gains: GroupGains
-    mmf_rate: float
-    ceiling_rate: float
-    trace: SweepTrace
-
-    def to_solution(self) -> SchemeSolution:
-        rates = np.log2(1.0 + tin_sinrs(self.gains.a, self.power_w))
-        return SchemeSolution(
-            scheme="tin",
-            mmf_rate=self.mmf_rate,
-            per_group_rates=rates,
-            power_w=self.power_w,
-            tau=np.ones(self.gains.num_groups),
-            placements=[self.placement.x_m],
-            iterations=self.trace.sweeps,
-            converged=self.trace.converged,
-            traces=[trace_summary(self.trace)],
-            extras={
-                "equalized_sinr": self.equalized_sinr,
-                "ceiling_rate": self.ceiling_rate,
-            },
-        )
-
-
 def tin_objective() -> SweepObjective:
     """Placement (or phase) sweep objective: minimize the inverse-CNR sum."""
     return SweepObjective(maximize=False, exact_batch=inv_cnr_sum_batch)
 
 
-def tin_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> TinSolution:
+def tin_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> SchemeSolution:
     """Closed-form power split for the gains a sweep ended on."""
-    gains = GroupGains(a=trace.gains)
-    gamma, powers = tin_power(gains.a, config.power_budget_w)
-    g = gains.num_groups
-    return TinSolution(
-        equalized_sinr=gamma,
-        power_w=powers,
-        placement=placement,
-        gains=gains,
+    a = trace.gains
+    gamma, powers = tin_power(a, config.power_budget_w)
+    g = a.size
+    return SchemeSolution.from_sweeps(
+        "tin", [placement], [trace],
         mmf_rate=math.log2(1.0 + gamma),
-        ceiling_rate=tin_ceiling(g) if g >= 2 else math.inf,
-        trace=trace,
+        per_group_rates=np.log2(1.0 + tin_sinrs(a, powers)),
+        power_w=powers,
+        tau=np.ones(g),
+        extras={"equalized_sinr": gamma, "ceiling_rate": tin_ceiling(g) if g >= 2 else math.inf},
     )
 
 
@@ -117,7 +86,7 @@ def solve_tin(
     *,
     placement: Placement | None = None,
     rng: np.random.Generator | None = None,
-) -> TinSolution:
+) -> SchemeSolution:
     """Optimize antenna positions for the harmonic-mean objective, then apply
     the closed-form power split."""
     if placement is None:

@@ -1,7 +1,7 @@
 """User topology and antenna placement containers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,14 +115,11 @@ class GroupGains:
     """
 
     a: np.ndarray
-    bottleneck_user: np.ndarray = field(default=None)  # type: ignore[assignment]
+    bottleneck_user: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _frozen_array(self.a))
-        if self.bottleneck_user is None:
-            object.__setattr__(self, "bottleneck_user", _frozen_array(np.full(self.a.shape, -1, dtype=int), dtype=int))
-        else:
-            object.__setattr__(self, "bottleneck_user", _frozen_array(self.bottleneck_user, dtype=int))
+        object.__setattr__(self, "bottleneck_user", _frozen_array(self.bottleneck_user, dtype=int))
         if np.any(self.a <= 0):
             raise TopologyError("bottleneck CNRs must be positive")
 

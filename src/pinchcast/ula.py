@@ -121,7 +121,7 @@ def solve_ula(
     if scheme == "tdma-ps":
         runs = [_phase_sweep(topology.subset(gi), config, ula, pm_objective(1, config)) for gi in range(g)]
         sol = tdma_solution("PS", [array] * g, [tr for _, tr in runs], config)
-        return replace(sol.to_solution(), baseline=True, phases=np.array([ph for ph, _ in runs]))
+        return replace(sol, baseline=True, phases=np.array([ph for ph, _ in runs]))
 
     if scheme == "tin":
         objective, solution = tin_objective(), lambda tr: tin_solution(array, tr, config)
@@ -133,4 +133,4 @@ def solve_ula(
     else:
         raise PinchcastError(f"unknown scheme {scheme!r}")
     phases, trace = _phase_sweep(topology, config, ula, objective)
-    return replace(solution(trace).to_solution(), baseline=True, phases=phases)
+    return replace(solution(trace), baseline=True, phases=phases)

@@ -133,9 +133,9 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
         hoe = solve_noma(topo, config, placement=start)
         objective = noma_objective(topo.num_groups, config)
         plain_x, plain_tr = seo_sweep(start, topo, config, objective=objective.exact)
-        if not np.array_equal(hoe.placement.x_m, plain_x.x_m):
+        if not np.array_equal(hoe.placements[0], plain_x.x_m):
             return False
-        if hoe.trace.objective != plain_tr.objective:
+        if hoe.traces[0]["objective"] != plain_tr.objective:
             return False
     return True
 

@@ -360,12 +360,11 @@ def test_c10_convergence_on_reference_configuration():
             t0 = time.time()
             sol = solve(topo, cfg, np.random.default_rng(6000 + seed))
             slowest[name] = max(slowest[name], time.time() - t0)
-            traces = sol.traces if hasattr(sol, "traces") else [sol.trace]
-            converged = all(t.converged and t.sweeps <= 20 for t in traces)
+            converged = all(t["converged"] and t["sweeps"] <= 20 for t in sol.traces)
             monotone = True
-            for t in traces:
-                d = np.diff(t.objective)
-                slack = 1e-9 * np.abs(np.array(t.objective[:-1]))
+            for t in sol.traces:
+                d = np.diff(t["objective"])
+                slack = 1e-9 * np.abs(np.array(t["objective"][:-1]))
                 monotone &= bool(np.all(d >= -slack) if increasing else np.all(d <= slack))
             assert monotone, f"{name} trace not monotone at seed {seed}"
             if converged:
@@ -466,10 +465,10 @@ def test_c12_ps_pm_consistency():
         pm = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7100 + seed))
         # the slot-switched resource stage sees only per-group gains, so
         # feeding it the shared placement must reproduce the shared rate
-        gains = group_gains(pm.placements[0], topo, cfg)
+        gains = group_gains(Placement(x_m=pm.placements[0]), topo, cfg)
         t_ps, _ = pm_resource_allocation(gains.a, cfg.power_budget_w)
         worst_repro = max(worst_repro, abs(t_ps - pm.mmf_rate) / pm.mmf_rate)
-        ps = solve_tdma_ps(topo, cfg, seed_placement=pm.placements[0])
+        ps = solve_tdma_ps(topo, cfg, seed_placement=Placement(x_m=pm.placements[0]))
         worst_dom = max(worst_dom, (pm.mmf_rate - ps.mmf_rate) / pm.mmf_rate)
     ok = worst_repro <= 1e-9 and worst_dom <= 1e-9
     _report(12, ok, f"(worst reproduction dev {worst_repro:.2e}, worst dominance dev {worst_dom:.2e})")

@@ -13,6 +13,7 @@ import yaml
 from pinchcast import (
     ExperimentSpec,
     PinchcastError,
+    SchemeSolution,
     SystemConfig,
     dbm_to_watts,
     emit,
@@ -23,7 +24,11 @@ from pinchcast import (
     preset_spec,
     run_experiment,
     save_topology,
+    solve_noma,
+    solve_tdma_pm,
+    solve_tdma_ps,
     solve_tin,
+    solve_ula,
     watts_to_dbm,
 )
 from pinchcast.experiments import SCHEMES, TOPOLOGY_MODES, ExperimentResult, _solve_one, spec_point_config
@@ -238,7 +243,7 @@ class TestEmit:
     def _trace_solution(self):
         cfg = SystemConfig(waveguide_length_m=10.0, grid_points=30, num_antennas=2)
         topo = generate_topology("uniform_random", cfg, np.random.default_rng(0), num_groups=2, num_users=4)
-        return solve_tin(topo, cfg, rng=np.random.default_rng(1)).to_solution()
+        return solve_tin(topo, cfg, rng=np.random.default_rng(1))
 
     def test_trace_emission(self, tmp_path):
         sol = self._trace_solution()
@@ -260,6 +265,36 @@ class TestEmit:
             emit_traces([self._trace_solution()], blocker / "trace.csv")
 
 
+class TestSolutionRecord:
+    EXTRAS = {
+        "tin": {"equalized_sinr", "ceiling_rate"},
+        "noma": {"equalized_sinr", "decoding_order", "sic_feasibility_margin"},
+        "tdma-ps": {"nu", "equal_time"},
+        "tdma-pm": {"nu", "equal_time"},
+    }
+    SOLVERS = {"tin": solve_tin, "noma": solve_noma, "tdma-ps": solve_tdma_ps, "tdma-pm": solve_tdma_pm}
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["movable", "baseline"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_solve_returns_one_record(self, scheme, baseline):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        cfg = SystemConfig(waveguide_length_m=10.0, grid_points=30, num_antennas=2)
+        topo = generate_topology("uniform_random", cfg, np.random.default_rng(3), num_groups=3, num_users=6)
+        if baseline:
+            direct = solve_ula(topo, scheme, cfg)
+        else:
+            direct = self.SOLVERS[scheme](topo, cfg, rng=np.random.default_rng(7))
+        harness = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(7), False)
+        for sol in (direct, harness):
+            assert type(sol) is SchemeSolution
+            assert (sol.scheme, sol.baseline) == (scheme, baseline)
+            assert set(sol.extras) == self.EXTRAS[scheme]
+            assert json.loads(sol.to_json(), parse_constant=reject) == sol.to_dict()
+        assert direct.to_json() == harness.to_json()
+
+
 class TestExperimentSpec:
     def test_from_dict_rejects_unknown_keys(self):
         data = {"sweep": "power_dbm", "values": [0.0], "trials": 3}
@@ -272,6 +307,17 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict({"sweep": "power_dbm"})
         with pytest.raises(PinchcastError, match="non-empty list of numbers"):
             ExperimentSpec.from_dict({"sweep": "power_dbm", "values": 5})
+        with pytest.raises(PinchcastError, match="non-empty list of numbers"):
+            ExperimentSpec.from_dict({"sweep": "power_dbm", "values": [True]})
+        base = {"sweep": "power_dbm", "values": [0.0]}
+        for key, value in [
+            ("trials", "3"), ("trials", True), ("seed", 1.5), ("seed", -1), ("num_groups", 2.5),
+            ("num_users", "12"), ("users_per_group", 2.0), ("num_antennas", "4"),
+            ("baseline", "no"), ("equal_time", 1),
+        ]:
+            with pytest.raises(PinchcastError, match=key):
+                ExperimentSpec.from_dict({**base, key: value})
+        assert ExperimentSpec.from_dict({**base, "trials": np.int64(3), "users_per_group": 2}).trials == 3
 
 
 class TestPresets:
@@ -399,17 +445,50 @@ class TestCli:
             ({"sweep": "power_dbm", "values": [0.0], "trial": 3}, {}),
             ({"sweep": "power_dbm"}, {}),
             ({"sweep": "power_dbm", "values": 5}, {}),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": "3"}, {}),
+            ({"sweep": "power_dbm", "values": [0.0]}, None),
+            (None, {}),
+            ("sweep: [power_dbm\nvalues: [0.0]\n", {}),
         ],
-        ids=["unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values"],
+        ids=[
+            "unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values",
+            "string-trials", "missing-config-file", "missing-spec-file", "malformed-yaml",
+        ],
     )
     def test_input_errors_end_in_one_line(self, tmp_path, spec, config):
+        # None leaves the file out; a string is written as it stands
         spec_path, cfg_path = tmp_path / "spec.yaml", tmp_path / "cfg.yaml"
-        spec_path.write_text(yaml.safe_dump(spec))
-        cfg_path.write_text(yaml.safe_dump(config))
+        for path, content in ((spec_path, spec), (cfg_path, config)):
+            if content is not None:
+                path.write_text(content if isinstance(content, str) else yaml.safe_dump(content))
         r = self._run(
             "experiment", "--spec", str(spec_path), "--config", str(cfg_path),
             "--out", str(tmp_path / "results"),
         )
+        self._assert_one_line_error(r)
+
+    @pytest.mark.parametrize(
+        "case", ["missing-topology", "malformed-topology", "undecodable-topology", "missing-out-dir"]
+    )
+    def test_solve_input_errors_end_in_one_line(self, tmp_path, case):
+        topology = {
+            "malformed-topology": b"groups: [[[2.0, 1.0]]\n",
+            "undecodable-topology": b"\xff\xfe groups\n",
+            "missing-out-dir": b"groups:\n  - [[2.0, 1.0]]\n",
+        }.get(case)
+        topo_path, cfg_path = tmp_path / "topo.yaml", tmp_path / "cfg.yaml"
+        cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 20\nnum_antennas: 2\n")
+        if topology is not None:
+            topo_path.write_bytes(topology)
+        r = self._run(
+            "solve", "--topology", str(topo_path), "--config", str(cfg_path), "--scheme", "tin",
+            "--out", str(tmp_path / "nodir" / "sol.json"),
+        )
+        self._assert_one_line_error(r)
+        assert ("sol.json" if case == "missing-out-dir" else "topo.yaml") in r.stderr
+
+    @staticmethod
+    def _assert_one_line_error(r):
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
         lines = r.stderr.splitlines()

@@ -423,7 +423,7 @@ class TestPmRateBound:
             hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7))
             start = random_placement(cfg, np.random.default_rng(7))
             best, _ = seo._run_sweeps(start, topo, cfg, plain)
-            assert np.array_equal(hoe.placements[0].x_m, best.x_m), (mode, g)
+            assert np.array_equal(hoe.placements[0], best.x_m), (mode, g)
             hoe = solve_ula(topo, "tdma-pm", cfg)
             phases, _ = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), plain)
             assert np.array_equal(hoe.phases, phases), (mode, g)
@@ -499,23 +499,23 @@ class TestSolveTdma:
         best, trace = seo._run_sweeps(start, topo, cfg, replace(pm_objective(3, cfg), bound_batch=None))
         s2 = tdma_solution("PM", [best], [trace], cfg)
         assert s1.mmf_rate == pytest.approx(s2.mmf_rate, abs=1e-12)
-        assert np.array_equal(s1.placements[0].x_m, s2.placements[0].x_m)
+        assert np.array_equal(s1.placements[0], s2.placements[0])
 
     def test_pm_equal_time_single_antenna_matches_closed_form(self):
         cfg = SystemConfig(waveguide_length_m=10.0, grid_points=50, num_antennas=1)
         rng = np.random.default_rng(12)
         topo = make_topology(rng, cfg, [2, 2])
         sol = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(2), equal_time=True)
-        _, rate = single_pa_pm(sol.placements[0].x_m[0], topo, cfg)
+        _, rate = single_pa_pm(sol.placements[0][0], topo, cfg)
         assert sol.mmf_rate == pytest.approx(rate, rel=1e-12)
-        assert np.allclose(sol.allocation.tau, 0.5)
+        assert np.allclose(sol.tau, 0.5)
 
     def test_pm_trace_monotone(self):
         cfg = SystemConfig(waveguide_length_m=12.0, grid_points=50, num_antennas=3)
         rng = np.random.default_rng(13)
         topo = make_topology(rng, cfg, [2, 2])
         sol = solve_tdma_pm(topo, cfg, rng=rng)
-        objs = np.array(sol.traces[0].objective)
+        objs = np.array(sol.traces[0]["objective"])
         assert np.all(np.diff(objs) >= -1e-9 * objs[:-1])
 
     def test_ps_allocator_on_pm_placement_reproduces_pm_rate(self):
@@ -523,7 +523,7 @@ class TestSolveTdma:
         rng = np.random.default_rng(14)
         topo = make_topology(rng, cfg, [2, 2, 2])
         pm = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(3))
-        gains = group_gains(pm.placements[0], topo, cfg)
+        gains = group_gains(Placement(x_m=pm.placements[0]), topo, cfg)
         t_ps, _ = pm_resource_allocation(gains.a, cfg.power_budget_w)
         assert abs(t_ps - pm.mmf_rate) <= 1e-9 * pm.mmf_rate
 
@@ -533,7 +533,7 @@ class TestSolveTdma:
             rng = np.random.default_rng(seed)
             topo = make_topology(rng, cfg, [2, 2])
             pm = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(seed + 50))
-            ps = solve_tdma_ps(topo, cfg, seed_placement=pm.placements[0])
+            ps = solve_tdma_ps(topo, cfg, seed_placement=Placement(x_m=pm.placements[0]))
             assert ps.mmf_rate >= pm.mmf_rate - 1e-9 * pm.mmf_rate
 
     def test_ps_gains_are_per_group_optimized(self):
@@ -542,10 +542,11 @@ class TestSolveTdma:
         topo = make_topology(rng, cfg, [2, 2])
         sol = solve_tdma_ps(topo, cfg, rng=rng)
         assert len(sol.placements) == 2
-        for gi, placement in enumerate(sol.placements):
-            assert sol.gains[gi] == pytest.approx(
-                group_gains(placement, topo, cfg).a[gi], rel=1e-12
-            )
+        # slot g's allocator gain is group g's gain at slot g's placement
+        a = np.array([group_gains(Placement(x_m=x), topo, cfg).a[gi] for gi, x in enumerate(sol.placements)])
+        t, alloc = pm_resource_allocation(a, cfg.power_budget_w)
+        assert sol.mmf_rate == pytest.approx(t, rel=1e-12)
+        assert sol.per_group_rates == pytest.approx(alloc.rates(a), rel=1e-12)
 
     def test_ps_group_sweep_ignores_other_groups(self):
         # each slot's sweep runs on its own group's users; the placement and
@@ -572,16 +573,16 @@ class TestSolveTdma:
         pm = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(4))
         ps = solve_tdma_ps(topo, cfg, rng=np.random.default_rng(4))
         assert pm.mmf_rate == pytest.approx(ps.mmf_rate, rel=1e-9)
-        assert pm.allocation.tau.tolist() == [1.0]
+        assert pm.tau.tolist() == [1.0]
 
     def test_record_serialization(self):
         cfg = SystemConfig(waveguide_length_m=10.0, grid_points=40, num_antennas=2)
         rng = np.random.default_rng(17)
         topo = make_topology(rng, cfg, [2, 2])
-        rec = solve_tdma_ps(topo, cfg, rng=rng).to_solution()
+        rec = solve_tdma_ps(topo, cfg, rng=rng)
         assert rec.scheme == "tdma-ps"
         assert len(rec.placements) == 2
         assert rec.tau.sum() == pytest.approx(1.0, abs=1e-9)
-        rec_pm = solve_tdma_pm(topo, cfg, rng=rng).to_solution()
+        rec_pm = solve_tdma_pm(topo, cfg, rng=rng)
         assert rec_pm.scheme == "tdma-pm"
         assert rec_pm.mmf_rate == pytest.approx(rec_pm.per_group_rates.min(), rel=1e-9)

@@ -196,7 +196,7 @@ class TestSolveUla:
             topo = make_topology(np.random.default_rng(seed), cfg, [2, 2])
             movable = solve_tin(topo, cfg, rng=rng)
             fixed = solve_ula(topo, "tin", cfg)
-            f_best = tin_placement_objective(movable.placement, topo, cfg)
+            f_best = tin_placement_objective(Placement(x_m=movable.placements[0]), topo, cfg)
             f_center = tin_placement_objective(
                 Placement(x_m=UlaConfig.from_system(cfg, 1).positions()), topo, cfg
             )
