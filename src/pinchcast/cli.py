@@ -39,8 +39,15 @@ def _load_cfg(path: str | None) -> SystemConfig:
     return load_config(path) if path else SystemConfig()
 
 
+def _seed(args) -> int:
+    """The ``--seed`` value; numpy takes only non-negative seeds."""
+    if args.seed < 0:
+        raise PinchcastError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _solve(topology: Topology, scheme: str, config: SystemConfig, args) -> SchemeSolution:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     return experiments._solve_one(scheme, args.baseline, topology, config, rng, args.equal_time)
 
 
@@ -92,7 +99,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_trace(args) -> int:
     config = _load_cfg(args.config)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     if args.topology:
         topology = load_topology(args.topology, config)
     else:
@@ -111,7 +118,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    return 0 if run_validation(args.seed or 0) else 1
+    return 0 if run_validation(_seed(args)) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

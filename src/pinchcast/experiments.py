@@ -92,6 +92,8 @@ class ExperimentSpec:
             raise PinchcastError(f"sweep must be one of {SWEEP_VARIABLES}, got {self.sweep!r}")
         if not (isinstance(self.values, list) and self.values and all(map(_is_number, self.values))):
             raise PinchcastError(f"values must be a non-empty list of numbers, got {self.values!r}")
+        if self.sweep in ("num_antennas", "num_groups") and not all(float(v).is_integer() for v in self.values):
+            raise PinchcastError(f"{self.sweep} sweep values must be whole numbers, got {self.values!r}")
         for name in ("trials", "seed", "num_groups", "num_users", "num_antennas", "users_per_group"):
             v = getattr(self, name)
             if not (_is_number(v, numbers.Integral) or (v is None and name == "users_per_group")):

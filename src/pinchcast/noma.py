@@ -20,7 +20,7 @@ from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .records import SchemeSolution
-from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
+from .seo import ReachTest, ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
 
 GAMMA_BISECT_ITERS = 60  # steps of the equalized-SINR bisection
@@ -200,6 +200,20 @@ _BOUND_RTOL = 1e-12
 _FLOOR_RTOL = 1e-9
 
 
+def mmf_rate_reaches(p_t: float) -> ReachTest:
+    """Reach test of the max-min cancellation rate: the columns whose rate
+    may reach ``floor * (1 - _FLOOR_RTOL)``, by :func:`_reaches`.  The rate
+    increases in every gain, so on optimistic gains the test keeps every
+    column whose true gains reach that cut."""
+
+    def reaches(gain_matrix: np.ndarray, floor: float) -> np.ndarray:
+        if floor <= 0.0:
+            return np.ones(gain_matrix.shape[1], dtype=bool)
+        return _reaches(gain_matrix, p_t, math.expm1(floor * (1.0 - _FLOOR_RTOL) * math.log(2.0)))
+
+    return reaches
+
+
 def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
     """Screening bound: the max-min cancellation-decoding rate of each column.
 
@@ -210,19 +224,19 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
     shared-placement TDMA rate; both sweeps use it with :func:`hoe_sweep`.
 
     Given a ``floor`` (the exact value of a column known to be attainable),
-    the columns that :func:`_reaches` shows cannot reach
+    the columns that :func:`mmf_rate_reaches` shows cannot reach
     ``cut = floor * (1 - _FLOOR_RTOL)`` get ``cut`` (slacked), a valid bound
     below the floor, and only the others are solved.
     """
+    reaches = mmf_rate_reaches(p_t)
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         a = np.asarray(gain_matrix, dtype=float)
         live = slice(None)
         rate = np.empty(a.shape[1])
         if floor > 0.0:
-            cut = floor * (1.0 - _FLOOR_RTOL)
-            live = _reaches(a, p_t, math.expm1(cut * math.log(2.0)))
-            rate[:] = cut
+            live = reaches(a, floor)
+            rate[:] = floor * (1.0 - _FLOOR_RTOL)
         gamma = _mmf_gamma_batch(a[:, live], p_t)
         # log1p stays accurate for tiny SINRs; log2(1 + x) is what the scalar
         # objective computes, and it may round above log1p there
@@ -340,18 +354,19 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
 
     One group gets the whole budget and two groups use the closed-form SINR,
     both vectorized; larger instances run the scalar bisection, screened by
-    :func:`mmf_rate_bound_batch`.
+    :func:`mmf_rate_bound_batch`, whose cut below the floor is also their
+    reach test (:func:`mmf_rate_reaches`).
     """
     p_t = config.power_budget_w
     if num_groups == 1:
-        return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
+        return SweepObjective.monotone(lone_group_rate_batch(p_t))
     if num_groups == 2:
-        return SweepObjective(exact_batch=two_group_rate_batch(p_t))
+        return SweepObjective.monotone(two_group_rate_batch(p_t))
 
     def exact(a: np.ndarray) -> float:
         return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, GAMMA_BISECT_ITERS, 1e-12))
 
-    return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t))
+    return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t), reaches=mmf_rate_reaches(p_t))
 
 
 def noma_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> SchemeSolution:

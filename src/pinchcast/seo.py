@@ -14,9 +14,11 @@ improvements; the element-wise sweeps then resume.  For two antennas the
 pair pass is exhaustive enumeration; a single antenna never runs it.
 
 :func:`_sweep` is the search loop, and the fixed array's phase sweep runs it
-too; each supplies its moves as generators.  The loop keeps the gains of the
-column it selected last, those of the final state, on the trace, and the
-solvers build their solutions from them.
+too; each supplies its moves as generators that yield a
+:class:`CandidateSet`, and :func:`_candidate_gains` is the one routine that
+turns candidates into bottleneck gains, over any subset of rows and columns.
+The loop keeps the gains of the column it selected last, those of the final
+state, on the trace, and the solvers build their solutions from them.
 
 Objectives operate on the per-group bottleneck-CNR vector of a candidate
 placement.  Scalar objectives map a (G,) gain vector to a float; batch
@@ -37,11 +39,27 @@ scan with every bound +inf, in the element steps and the pair passes alike.
 The sweep always knows the exact value of its current state, one of the
 candidates, and hands it to the bound as a floor: a candidate shown unable
 to reach it may get a loose bound without further work.
+
+A tier before any gains are complete screens the block moves' candidates
+(:func:`_screened_select`).  The scheme objectives are monotone in every
+group's bottleneck gain, and a minimum over some of a group's users is at
+least the minimum over all of them, so gains over each group's weakest user
+at the incumbent give every candidate an optimistic value.  The objective's
+reach test (:attr:`SweepObjective.reaches`) drops the candidates whose
+optimistic value cannot reach the floor, and only the others get full
+gains; the incumbent always does, so the selection is unchanged.  Batch
+objectives compare their own value with the floor (:meth:`SweepObjective.monotone`);
+the NOMA rate for three or more groups runs one pass of its power
+recursion.  The shared-placement TDMA rate has no reach test: the NOMA test
+keeps almost all of its pair columns at high power, and a dual bound over
+the subset rows cost more than it saved.  Element moves, about as many
+candidates as grid points, are not screened: there the screen's fixed cost
+outweighs what it saves.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Generator
 
 import numpy as np
@@ -54,7 +72,12 @@ from .topology import Placement, Topology
 ScalarObjective = Callable[[np.ndarray], float]
 BatchObjective = Callable[[np.ndarray], np.ndarray]
 ScreeningBound = Callable[[np.ndarray, float], np.ndarray]
-Moves = Callable[[], Generator[tuple[np.ndarray, int | None], int, None]]
+ReachTest = Callable[[np.ndarray, float], np.ndarray]
+Moves = Callable[[], Generator[tuple["CandidateSet", int | None], int, None]]
+
+# relative slack of a batch objective's reach test, well above the
+# rounding-level drift of the incumbent's value between two evaluations
+_REACH_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,12 +108,32 @@ class SweepObjective:
     when none is known); a candidate that provably cannot reach it may get
     any valid bound below it.  :meth:`scores` is the one way a sweep ranks
     candidates, whichever fields are set.
+
+    ``reaches(A, floor)`` is set only for objectives that are monotone in
+    every group's gain.  ``A`` holds optimistic gains, each at least the
+    candidate's true gain, and the result masks the columns that may still
+    reach ``floor``; a column it clears must be strictly unable to.
+    :meth:`monotone` builds one for a batch objective.
     """
 
     maximize: bool = True
     exact: ScalarObjective | None = None
     exact_batch: BatchObjective | None = None
     bound_batch: ScreeningBound | None = None
+    reaches: ReachTest | None = None
+
+    @classmethod
+    def monotone(cls, exact_batch: BatchObjective, maximize: bool = True) -> "SweepObjective":
+        """A batch objective monotone in every group's gain.  Its reach test
+        scores the optimistic gains and keeps every column not worse than
+        the floor by more than a relative ``_REACH_RTOL``."""
+
+        def reaches(A: np.ndarray, floor: float) -> np.ndarray:
+            values = exact_batch(A)
+            slack = _REACH_RTOL * abs(floor)
+            return ~(values < floor - slack) if maximize else ~(values > floor + slack)
+
+        return cls(maximize=maximize, exact_batch=exact_batch, reaches=reaches)
 
     def value(self, gains: np.ndarray) -> float:
         """Objective of one (G,) gain vector."""
@@ -133,8 +176,9 @@ class SweepTrace:
     ``objective`` holds the value before any sweep followed by the value after
     each completed sweep, including the pair pass that closes a converged
     sweep when it moves antennas.  ``stage2_evals`` counts exact objective
-    evaluations and ``total_candidates`` all feasible candidates examined
-    (single positions and position pairs), so ``retention`` is the fraction of
+    evaluations (for a batch objective, the candidates scored on full gains)
+    and ``total_candidates`` all feasible candidates examined (single
+    positions and position pairs), so ``retention`` is the fraction of
     candidates that reached the exact stage.  ``gains`` is the
     bottleneck-CNR vector of the final state, as the last selection computed
     it; the solvers build their solutions from it.
@@ -224,52 +268,73 @@ def group_layout(topology: Topology) -> tuple[np.ndarray, list[tuple[int, int]]]
 
 def _group_min(cnr: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
     """Per-group minimum over the row spans of ``cnr``: (G,) or (G, L)."""
+    if len(spans) == cnr.shape[0]:  # one row per group
+        return cnr
     return np.stack([cnr[s:e].min(axis=0) for s, e in spans])
 
 
-def _candidate_gains(
-    h_bar: np.ndarray,
-    cand_terms: np.ndarray,
-    noise_w: np.ndarray,
-    n_antennas: int,
-    spans: list[tuple[int, int]],
-) -> np.ndarray:
-    """Bottleneck-CNR matrix (G, L) for all candidate positions of one element.
+@dataclass(frozen=True)
+class CandidateSet:
+    """The candidate columns of one move.
 
-    Rows (users) must be in :func:`group_layout` order with ``spans`` the
-    row span of each group.
+    Column j's channel at row (user) r is ``b[r, p[j]] + t[r, q[j]]``, kept
+    as real and imaginary parts; ``den`` (K, 1) is N times each row's noise
+    power.  An element move has one base column (``p`` all zero) and its
+    grid or codebook terms in ``t``; a pair move has the fixed antennas'
+    channel plus one moving antenna's term at every grid point in ``b`` and
+    the other moving antenna's terms in ``t``.  Rows follow
+    :func:`group_layout`.
     """
-    h = h_bar[:, None] + cand_terms
-    cnr = (h.real**2 + h.imag**2) / (n_antennas * noise_w[:, None])
-    return _group_min(cnr, spans)
+
+    b_re: np.ndarray
+    b_im: np.ndarray
+    t_re: np.ndarray
+    t_im: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    den: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.p.size
+
+    def rows(self, r) -> "CandidateSet":
+        """The same columns over the rows ``r`` only."""
+        return CandidateSet(self.b_re[r], self.b_im[r], self.t_re[r], self.t_im[r], self.p, self.q, self.den[r])
+
+    def cols(self, c) -> "CandidateSet":
+        """The columns ``c`` only."""
+        return replace(self, p=self.p[c], q=self.q[c])
 
 
-def _pair_gains(
-    u_re: np.ndarray,
-    u_im: np.ndarray,
-    t_re: np.ndarray,
-    t_im: np.ndarray,
-    p: np.ndarray,
-    q: np.ndarray,
-    den: np.ndarray,
-    spans: list[tuple[int, int]],
-) -> np.ndarray:
-    """Bottleneck-CNR matrix (G, P) of the position pairs (p[j], q[j]).
+def _candidate_gains(c: CandidateSet, spans: list[tuple[int, int]]) -> np.ndarray:
+    """Bottleneck-CNR matrix (G, C) of the columns of ``c``, with ``spans``
+    the row span of each group among the rows of ``c``.
 
-    ``u`` is the fixed antennas' channel plus one moving antenna's path term
-    at every grid point and ``t`` the other moving antenna's path terms, both
-    split into real and imaginary parts; ``den`` is N times the noise power
-    of each row.  Rows follow :func:`group_layout`.
+    The arithmetic is elementwise per column and row, so a column's value
+    on a row does not depend on which other rows and columns are computed.
     """
-    hr = u_re.take(p, axis=1)
-    hr += t_re.take(q, axis=1)
-    hi = u_im.take(p, axis=1)
-    hi += t_im.take(q, axis=1)
+    hr = c.t_re.take(c.q, axis=1)
+    hi = c.t_im.take(c.q, axis=1)
+    if c.b_re.shape[1] == 1:  # one base column, so every p is 0
+        hr += c.b_re
+        hi += c.b_im
+    else:
+        hr += c.b_re.take(c.p, axis=1)
+        hi += c.b_im.take(c.p, axis=1)
     hr *= hr
     hi *= hi
     hr += hi
-    hr /= den
+    hr /= c.den
     return _group_min(hr, spans)
+
+
+_pair_gains = _candidate_gains  # perfbench/tracing.py wraps this name
+
+
+def _unit_spans(k: int) -> list[tuple[int, int]]:
+    """Row spans with every row its own group."""
+    return [(r, r + 1) for r in range(k)]
 
 
 def _gains_of(h: np.ndarray, noise_w: np.ndarray, n_antennas: int, spans) -> np.ndarray:
@@ -301,6 +366,41 @@ def _select(
     return j, float(scores[j]), evals
 
 
+def _screened_select(
+    c: CandidateSet,
+    inc_j: int | None,
+    objective: SweepObjective,
+    floor: float,
+    spans: list[tuple[int, int]],
+    screen: bool = True,
+) -> tuple[int, float, np.ndarray, int]:
+    """:func:`_select` over the candidate set ``c``: the column, its exact
+    value, its gains and the number of columns scored exactly.
+
+    A group's minimum over some of its users is at least its minimum over
+    all of them.  With ``screen`` and an objective that has a reach test,
+    the gains over each group's weakest user at the incumbent are therefore
+    optimistic, and the columns the test shows unable to reach ``floor``
+    (the incumbent's exact value) never get full gains.  The incumbent is
+    always kept, so are the best column and every column that ties it, and
+    the selection is the one :func:`_select` makes on the full matrix.  The
+    gains returned are a view into the matrix the selection scored.
+    """
+    k = c.den.shape[0]
+    cols = None
+    if screen and objective.reaches is not None and inc_j is not None and len(spans) < k:
+        inc = _candidate_gains(c.cols([inc_j]), _unit_spans(k))[:, 0]
+        weakest = [s + int(np.argmin(inc[s:e])) for s, e in spans]
+        keep = objective.reaches(_candidate_gains(c.rows(weakest), _unit_spans(len(spans))), floor)
+        keep[inc_j] = True
+        cols = np.flatnonzero(keep)
+        inc_j = int(np.count_nonzero(keep[:inc_j]))
+        c = c.cols(cols)
+    A = _candidate_gains(c, spans)
+    j, v, evals = _select(A, inc_j, objective, floor)
+    return (j if cols is None else int(cols[j])), v, A[:, j], evals
+
+
 def _pair_columns(points: np.ndarray, min_spacing_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Grid index pairs (p, q), p < q, at least ``min_spacing_m`` apart, in
     lexicographic order."""
@@ -313,49 +413,56 @@ def _sweep(
     gains: np.ndarray,
     objective: SweepObjective,
     config: SystemConfig,
+    spans: list[tuple[int, int]],
     element_moves: Moves,
     block_moves: Moves | None = None,
 ) -> SweepTrace:
     """The element-wise search loop, from a state with bottleneck gains ``gains``.
 
     Each call of ``element_moves`` makes one sweep's moves.  A move yields a
-    candidate-gain matrix and the incumbent's column (None if the current
-    state is no candidate), is sent the column :func:`_select` picked with
-    the current state's exact value as floor, and applies it.  Once a sweep
-    changes the objective by less than ``config.tol``, ``block_moves`` run;
+    :class:`CandidateSet`, whose rows have the group spans ``spans``, and the
+    incumbent's column (None if the current state is no candidate), is sent
+    the column :func:`_screened_select` picked with the current state's
+    exact value as floor, and applies it.  Once a sweep changes the
+    objective by less than ``config.tol``, ``block_moves`` run, screened;
     if one leaves its incumbent, another sweep starts.  At most
     ``config.max_outer_iters`` sweeps run.
     """
     v = objective.value(gains)  # the exact value of the current state
     trace = SweepTrace(objective=[v], gains=gains)
 
-    def run(moves: Moves) -> bool:
+    def run(moves: Moves, screen: bool) -> bool:
         # one pass of moves; True when some move left its incumbent
         nonlocal v
         moved = False
         steps = moves()
         try:
-            A, inc_j = next(steps)
+            c, inc_j = next(steps)
             while True:
-                j, v, evals = _select(A, inc_j, objective, v)
-                trace.total_candidates += A.shape[1]
+                # trace.gains is a view: its matrix stays allocated until the
+                # next selection replaces it, so the allocator reuses those
+                # pages.  Freeing it sooner let glibc trim the heap and fault
+                # it back in on every move: seven times the page faults and
+                # a markedly slower tdma-pm solve
+                j, v, trace.gains, evals = _screened_select(c, inc_j, objective, v, spans, screen)
+                trace.total_candidates += c.size
                 trace.stage2_evals += evals
-                trace.gains = A[:, j].copy()
                 moved = moved or j != inc_j
-                A, inc_j = steps.send(j)
+                c, inc_j = steps.send(j)
         except StopIteration:
             return moved
 
     f_prev = v
     for _ in range(config.max_outer_iters):
-        run(element_moves)
+        run(element_moves, False)
         trace.sweeps += 1
         if abs(v - f_prev) <= config.tol * min(1.0, abs(f_prev)):
-            trace.converged = block_moves is None or not run(block_moves)
+            trace.converged = block_moves is None or not run(block_moves, True)
         trace.objective.append(v)
         if trace.converged:
             break
         f_prev = v
+    trace.gains = trace.gains.copy()  # release the last gain matrix
     return trace
 
 
@@ -390,10 +497,11 @@ def _run_sweeps(
                     f"no feasible grid candidate for antenna {i} during sweep "
                     f"(others at {np.array2string(others, precision=4)})"
                 )
-            cand_x = grid.points[mask]
-            A = _candidate_gains(fixed_sum(others), grid_terms[:, mask], noise, n, spans)
-            j = yield A, _first_true(cand_x == x[i])
-            x[i] = cand_x[j]
+            q = np.flatnonzero(mask)
+            h_bar = fixed_sum(others)[:, None]
+            c = CandidateSet(h_bar.real, h_bar.imag, t_re, t_im, np.zeros(q.size, dtype=np.intp), q, den)
+            j = yield c, _first_true(grid.points[q] == x[i])
+            x[i] = grid.points[q[j]]
         x.sort()
 
     def pair_moves():
@@ -406,23 +514,20 @@ def _run_sweeps(
             p, q = pair_p[keep], pair_q[keep]
             inc_j = _first_true((grid.points[p] == x[i]) & (grid.points[q] == x[i + 1]))
             h_bar = fixed_sum(others)
-            A = _pair_gains(
-                h_bar.real[:, None] + t_re, h_bar.imag[:, None] + t_im,
-                t_re, t_im, p, q, den, spans,
-            )
-            j = yield A, inc_j
+            c = CandidateSet(h_bar.real[:, None] + t_re, h_bar.imag[:, None] + t_im, t_re, t_im, p, q, den)
+            j = yield c, inc_j
             if j != inc_j:
                 x[i], x[i + 1] = grid.points[p[j]], grid.points[q[j]]
                 x.sort()
 
+    t_re = np.ascontiguousarray(grid_terms.real)
+    t_im = np.ascontiguousarray(grid_terms.imag)
+    den = n * noise[:, None]
     if n > 1:
         pair_p, pair_q = _pair_columns(grid.points, spacing)
-        t_re = np.ascontiguousarray(grid_terms.real)
-        t_im = np.ascontiguousarray(grid_terms.imag)
-        den = n * noise[:, None]
 
     start = _gains_of(path_terms(x, users, config).sum(axis=1), noise, n, spans)
-    trace = _sweep(start, objective, config, element_moves, pair_moves if n > 1 else None)
+    trace = _sweep(start, objective, config, spans, element_moves, pair_moves if n > 1 else None)
     return Placement(x_m=x), trace
 
 

@@ -503,16 +503,17 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
 
     ``equal_time`` pins every slot to 1/G, whose closed-form rate is a
     vectorized objective.  Otherwise more than one group runs
-    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch`.  A lone
-    group (also each slot of the slot-switched
-    protocol) holds the whole frame and budget.
+    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch`, with no
+    reach test on partial gains (see :mod:`pinchcast.seo`).  A lone group
+    (also each slot of the slot-switched protocol) holds the whole frame and
+    budget.
     """
     p_t = config.power_budget_w
     g = num_groups
     if equal_time and g > 1:
-        return SweepObjective(exact_batch=partial(_equal_slot_rate, p_t=p_t))
+        return SweepObjective.monotone(partial(_equal_slot_rate, p_t=p_t))
     if g == 1:
-        return SweepObjective(exact_batch=lone_group_rate_batch(p_t))
+        return SweepObjective.monotone(lone_group_rate_batch(p_t))
     return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t))
 
 

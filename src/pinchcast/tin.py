@@ -62,7 +62,7 @@ def inv_cnr_sum_batch(gain_matrix: np.ndarray) -> np.ndarray:
 
 def tin_objective() -> SweepObjective:
     """Placement (or phase) sweep objective: minimize the inverse-CNR sum."""
-    return SweepObjective(maximize=False, exact_batch=inv_cnr_sum_batch)
+    return SweepObjective.monotone(inv_cnr_sum_batch, maximize=False)
 
 
 def tin_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> SchemeSolution:

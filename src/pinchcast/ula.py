@@ -24,16 +24,16 @@ from .config import SystemConfig
 from .errors import PinchcastError
 from .noma import noma_objective, noma_solution
 from .records import SchemeSolution
-from .seo import SweepObjective, SweepTrace, _candidate_gains, _first_true, _gains_of, _sweep, group_layout
+from .seo import CandidateSet, SweepObjective, SweepTrace, _first_true, _gains_of, _sweep, group_layout
 from .tdma import pm_objective, tdma_solution
 from .tin import tin_objective, tin_solution
 from .topology import Placement, Topology
 
 # unused here since the schemes' objectives and allocations moved to their
-# modules and the phase search to seo._sweep; perfbench/tracing.py still
-# wraps these names in this module
+# modules, the phase search to seo._sweep and its gains to the sweep's
+# selection step; perfbench/tracing.py still wraps these names in this module
 from .noma import _mmf_gamma, mmf_rate_bound_batch, noma_mmf_bisection  # noqa: F401
-from .seo import _select  # noqa: F401
+from .seo import _candidate_gains, _select  # noqa: F401
 from .tdma import pm_rate_bound_batch, pm_resource_allocation  # noqa: F401
 
 
@@ -83,20 +83,23 @@ def _phase_sweep(
     order, spans = group_layout(topology)
     elem = free_space_terms(ula.positions(), topology.user_xyz_m, config)[order]  # (K, N), group by group
     codebook = ula.codebook()
-    phasors = np.exp(1j * codebook)                        # (L,)
+    terms = elem.T[:, :, None] * np.exp(1j * codebook)     # (N, K, L): element i at each level
+    t_re, t_im = np.ascontiguousarray(terms.real), np.ascontiguousarray(terms.imag)
     noise = topology.noise_w[order]
+    den = n * noise[:, None]
+    base = np.zeros(codebook.size, dtype=np.intp)
+    levels = np.arange(codebook.size)
 
     def element_moves():
         for i in range(n):
             w = np.exp(1j * phases)
             w[i] = 0.0
-            h_bar = (elem * w[None, :]).sum(axis=1)
-            cand_terms = elem[:, i][:, None] * phasors[None, :]   # (K, L)
-            A = _candidate_gains(h_bar, cand_terms, noise, n, spans)
-            j = yield A, _first_true(codebook == phases[i])
+            h_bar = (elem * w[None, :]).sum(axis=1)[:, None]
+            c = CandidateSet(h_bar.real, h_bar.imag, t_re[i], t_im[i], base, levels, den)
+            j = yield c, _first_true(codebook == phases[i])
             phases[i] = codebook[j]
 
-    trace = _sweep(_gains_of(elem.sum(axis=1), noise, n, spans), objective, config, element_moves)
+    trace = _sweep(_gains_of(elem.sum(axis=1), noise, n, spans), objective, config, spans, element_moves)
     return phases, trace
 
 

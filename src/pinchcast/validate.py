@@ -23,7 +23,7 @@ from .noma import (
 )
 from .seo import hoe_sweep, random_placement, seo_sweep
 from .tdma import equal_time_power, pm_resource_allocation, min_energy
-from .tin import tin_power, tin_sinrs
+from .tin import solve_tin, tin_power, tin_sinrs
 
 _LN2 = math.log(2.0)
 
@@ -140,6 +140,22 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
     return True
 
 
+def _check_tin_screen(rng: np.random.Generator) -> bool:
+    # solve_tin screens pair columns on each group's weakest incumbent user;
+    # a scalar inverse-CNR sweep scores every column on full gains
+    config = SystemConfig(waveguide_length_m=10.0, grid_points=40, num_antennas=4)
+    for mode in ("uniform_random", "heterogeneous_clusters") * 3:
+        topo = generate_topology(mode, config, rng, num_groups=3, num_users=9)
+        start = random_placement(config, rng)
+        screened = solve_tin(topo, config, placement=start)
+        plain_x, plain_tr = seo_sweep(start, topo, config, objective=lambda a: float(np.sum(1.0 / a)), mode="minimize")
+        if not np.array_equal(screened.placements[0], plain_x.x_m):
+            return False
+        if screened.traces[0]["objective"] != plain_tr.objective:
+            return False
+    return True
+
+
 CHECKS = [
     ("tin closed-form equalizes SINRs and spends the budget", _check_tin_equalization),
     ("noma recursive power total matches the closed form", _check_noma_recursion),
@@ -148,6 +164,7 @@ CHECKS = [
     ("equal-time split equalizes received SNRs", _check_equal_time_split),
     ("slot energy formula handles edge cases", lambda rng: _check_min_energy()),
     ("screened sweep matches the plain sweep", _check_hoe_equivalence),
+    ("screened tin sweep matches the plain scalar sweep", _check_tin_screen),
 ]
 
 

@@ -318,6 +318,11 @@ class TestExperimentSpec:
             with pytest.raises(PinchcastError, match=key):
                 ExperimentSpec.from_dict({**base, key: value})
         assert ExperimentSpec.from_dict({**base, "trials": np.int64(3), "users_per_group": 2}).trials == 3
+        # a group or antenna count is whole; 2.5 would run as 2
+        for sweep in ("num_groups", "num_antennas"):
+            with pytest.raises(PinchcastError, match=sweep):
+                ExperimentSpec.from_dict({"sweep": sweep, "values": [2.0, 2.5]})
+            assert ExperimentSpec.from_dict({"sweep": sweep, "values": [2.0, 3]}).values == [2.0, 3]
 
 
 class TestPresets:
@@ -486,6 +491,15 @@ class TestCli:
         )
         self._assert_one_line_error(r)
         assert ("sol.json" if case == "missing-out-dir" else "topo.yaml") in r.stderr
+
+    @pytest.mark.parametrize("verb", ["solve", "trace", "validate"])
+    def test_negative_seed_ends_in_one_line(self, tmp_path, verb):
+        topo_path = tmp_path / "topo.yaml"
+        topo_path.write_text("groups:\n  - [[2.0, 1.0]]\n")
+        args = {"solve": ["--topology", str(topo_path), "--scheme", "tin"], "trace": ["--out", str(tmp_path / "t.csv")]}
+        r = self._run(verb, *args.get(verb, []), "--seed", "-1")
+        self._assert_one_line_error(r)
+        assert "seed" in r.stderr
 
     @staticmethod
     def _assert_one_line_error(r):

@@ -20,10 +20,10 @@ from pinchcast import (
 from pinchcast import generate_topology, seo
 from pinchcast.channel import path_terms
 from pinchcast.experiments import _solve_one
-from pinchcast.noma import _mmf_gamma, mmf_rate_bound_batch, upper_bound_batch
+from pinchcast.noma import _mmf_gamma, mmf_rate_bound_batch, noma_objective, upper_bound_batch
 from pinchcast.seo import SweepObjective, _select
 from pinchcast.tdma import pm_rate, pm_rate_bound_batch
-from pinchcast.tin import inv_cnr_sum_batch
+from pinchcast.tin import inv_cnr_sum_batch, solve_tin, tin_objective
 
 from conftest import make_topology
 
@@ -398,3 +398,134 @@ class TestSweepEndState:
             for scheme, baseline in itertools.product(("noma", "tdma-pm"), (False, True)):
                 sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(1), False)
                 assert sol.mmf_rate == sol.traces[0]["objective"][-1], (mode, g, dbm, scheme, baseline)
+
+
+class TestScreenedSelection:
+    """The selection step over a candidate set: gains over each group's
+    weakest incumbent user screen the columns, and only the others get full
+    gains.  It must choose what :func:`_select` chooses on the full matrix."""
+
+    @staticmethod
+    def _candidates(rng, g, pair):
+        # 2 to 4 users per group; pair-move or element-move columns
+        sizes = rng.integers(2, 5, g)
+        ends = np.cumsum(sizes).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        k, width = ends[-1], 30
+        t = rng.standard_normal((k, width)) + 1j * rng.standard_normal((k, width))
+        fixed = rng.standard_normal((k, 1)) + 1j * rng.standard_normal((k, 1))
+        if pair:
+            b = fixed + t
+            p, q = np.triu_indices(width, k=1)
+        else:
+            b = fixed
+            p, q = np.zeros(width, dtype=np.intp), np.arange(width)
+        den = 10.0 ** -rng.uniform(1.0, 5.5, (k, 1))
+        c = seo.CandidateSet(b.real.copy(), b.imag.copy(), t.real.copy(), t.imag.copy(), p, q, den)
+        return c, spans
+
+    @staticmethod
+    def _objectives(g):
+        # tin minimizes; the lone-group (G = 1), two-group and scalar NOMA
+        # (G >= 3) rates maximize
+        yield "tin", tin_objective()
+        for dbm in range(-40, 51, 10):
+            yield f"noma {dbm} dBm", noma_objective(g, SystemConfig().with_power_dbm(float(dbm)))
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for g, pair in itertools.product(range(1, 7), (True, False)):
+            c, spans = self._candidates(rng, g, pair)
+            A = seo._candidate_gains(c, spans)
+            for name, objective in self._objectives(g):
+                values = np.array([objective.value(col) for col in A.T])
+                yield (name, g, pair), c, spans, A, objective, values
+
+    @staticmethod
+    def _best(objective, values):
+        return int(np.argmax(values)) if objective.maximize else int(np.argmin(values))
+
+    @staticmethod
+    def _assert_same(c, spans, A, objective, inc_j, floor, key):
+        j, v, gains, evals = seo._screened_select(c, inc_j, objective, floor, spans)
+        want = _select(A, inc_j, objective, floor)
+        assert (j, v) == want[:2], key
+        assert np.array_equal(gains, A[:, j]), key
+        return evals, want[2]
+
+    def test_same_column_value_and_gains_as_the_full_matrix(self):
+        rng = np.random.default_rng(0)
+        screened = 0
+        for key, c, spans, A, objective, values in self._cases(60):
+            for inc_j in (int(rng.integers(c.size)), self._best(objective, values), self._best(objective, -values)):
+                evals, want = self._assert_same(c, spans, A, objective, inc_j, values[inc_j], key + (inc_j,))
+                if objective.exact is None:
+                    screened += evals < c.size  # columns left out of the full gains
+                else:
+                    assert evals == want, key  # the scalar scan evaluates the same columns
+        assert screened > 0
+
+    def test_tie_with_the_incumbent_keeps_it(self):
+        for key, c, spans, A, objective, values in self._cases(61):
+            # the best column again, at index 0, ties the incumbent exactly
+            best = self._best(objective, values)
+            order = np.concatenate([[best], np.arange(c.size)])
+            j, v, gains, _ = seo._screened_select(c.cols(order), best + 1, objective, values[best], spans)
+            assert (j, v) == (best + 1, values[best]), key
+            assert np.array_equal(gains, A[:, best]), key
+
+    def test_floor_drift_of_a_few_ulps(self):
+        # the floor comes from an earlier evaluation of the incumbent's
+        # gains, so it may sit past the recomputed value by a few ulps, or by
+        # more (up to 1e-9 relative) where the exact objective is iterative.
+        # Column 0 is the incumbent and the last column the same channel
+        # scaled by 1 + 1e-9, better on every row: a floor that far past
+        # that column's value must not drop it
+        rng = np.random.default_rng(64)
+        for g in range(1, 7):
+            k = 3 * g
+            spans = [(3 * i, 3 * i + 3) for i in range(g)]
+            t = rng.standard_normal((k, 20)) + 1j * rng.standard_normal((k, 20))
+            t[:, 0] *= 10.0  # the incumbent and its twin are the best columns
+            t = np.column_stack([t, t[:, 0] * (1.0 + 1e-9)])
+            zero = np.zeros((k, 1))
+            den = 10.0 ** -rng.uniform(1.0, 5.5, (k, 1))
+            p, q = np.zeros(21, dtype=np.intp), np.arange(21)
+            c = seo.CandidateSet(zero, zero, t.real.copy(), t.imag.copy(), p, q, den)
+            A = seo._candidate_gains(c, spans)
+            for name, objective in self._objectives(g):
+                values = np.array([objective.value(col) for col in A.T])
+                sign = 1.0 if objective.maximize else -1.0
+                assert sign * values[20] > sign * values[0], (name, g)
+                for v in (values[0], values[20]):
+                    floor = v
+                    for _ in range(4):
+                        floor = np.nextafter(floor, sign * math.inf)
+                    for f in (float(floor), v * (1.0 + sign * 1e-10)):
+                        self._assert_same(c, spans, A, objective, 0, f, (name, g, f))
+
+    def test_incumbent_is_never_dropped(self):
+        # a floor no column can reach, whatever its gains, leaves the
+        # incumbent alone
+        for key, c, spans, A, objective, values in self._cases(63):
+            inc_j = c.size // 3
+            floor = 100.0 if objective.maximize else 0.0  # 100 bit/s/Hz
+            j, v, gains, evals = seo._screened_select(c, inc_j, objective, floor, spans)
+            assert (j, v, evals) == (inc_j, values[inc_j], 1), key
+            assert np.array_equal(gains, A[:, inc_j]), key
+
+    def test_solve_tin_matches_the_plain_scalar_sweep(self):
+        scalar = lambda a: float(np.sum(1.0 / a))  # noqa: E731
+        screened = 0
+        for mode, seed in itertools.product(("uniform_random", "heterogeneous_clusters"), range(10)):
+            g = 2 + seed % 4
+            cfg = SystemConfig(grid_points=40, num_antennas=4)
+            topo = generate_topology(mode, cfg, np.random.default_rng(seed), num_groups=g, num_users=3 * g)
+            sol = solve_tin(topo, cfg, rng=np.random.default_rng(100 + seed))
+            start = random_placement(cfg, np.random.default_rng(100 + seed))
+            best, trace = seo_sweep(start, topo, cfg, objective=scalar, mode="minimize")
+            assert np.array_equal(sol.placements[0], best.x_m), (mode, seed)
+            assert sol.traces[0]["objective"] == trace.objective, (mode, seed)
+            assert sol.traces[0]["total_candidates"] == trace.total_candidates, (mode, seed)
+            screened += sol.traces[0]["stage2_evals"] < trace.stage2_evals
+        assert screened > 0
