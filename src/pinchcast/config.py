@@ -6,11 +6,17 @@ parsing boundary (config/topology files and CLI flags).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+
+def is_number(v: object, kind: type = numbers.Real) -> bool:
+    """Whether ``v`` is a ``kind`` number; a bool is not one."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -47,6 +53,11 @@ class SystemConfig:
     max_outer_iters: int = 20             # cap on full placement sweeps
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings here
+            whole = f.type == "int"
+            v = getattr(self, f.name)
+            if not is_number(v, numbers.Integral if whole else numbers.Real):
+                raise ConfigError(f"{f.name} must be {'an integer' if whole else 'a number'}, got {v!r}")
         if math.isnan(self.waveguide_y_m):
             object.__setattr__(self, "waveguide_y_m", self.region_depth_m / 2.0)
         if math.isnan(self.min_spacing_m):

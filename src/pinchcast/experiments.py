@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, is_number
 from .errors import PinchcastError
 from .noma import solve_noma
 from .records import SchemeSolution
@@ -65,11 +65,6 @@ def generate_topology(
     return Topology(groups=groups, user_xyz_m=xyz, noise_w=np.full(num_users, config.noise_w))
 
 
-def _is_number(v: Any, kind: type = numbers.Real) -> bool:
-    """Whether ``v`` is a ``kind`` number; a bool is not one."""
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
 @dataclass
 class ExperimentSpec:
     """One Monte-Carlo sweep: which variable, which values, which schemes."""
@@ -83,20 +78,20 @@ class ExperimentSpec:
     num_groups: int = 4
     num_users: int = 12
     users_per_group: int | None = None
-    num_antennas: int = 10
+    num_antennas: int | None = None  # None: the config's
     baseline: bool = False
     equal_time: bool = False
 
     def __post_init__(self) -> None:
         if self.sweep not in SWEEP_VARIABLES:
             raise PinchcastError(f"sweep must be one of {SWEEP_VARIABLES}, got {self.sweep!r}")
-        if not (isinstance(self.values, list) and self.values and all(map(_is_number, self.values))):
+        if not (isinstance(self.values, list) and self.values and all(map(is_number, self.values))):
             raise PinchcastError(f"values must be a non-empty list of numbers, got {self.values!r}")
         if self.sweep in ("num_antennas", "num_groups") and not all(float(v).is_integer() for v in self.values):
             raise PinchcastError(f"{self.sweep} sweep values must be whole numbers, got {self.values!r}")
         for name in ("trials", "seed", "num_groups", "num_users", "num_antennas", "users_per_group"):
             v = getattr(self, name)
-            if not (_is_number(v, numbers.Integral) or (v is None and name == "users_per_group")):
+            if not (is_number(v, numbers.Integral) or (v is None and name in ("num_antennas", "users_per_group"))):
                 raise PinchcastError(f"{name} must be an integer, got {v!r}")
         for name in ("baseline", "equal_time"):
             if not isinstance(getattr(self, name), bool):
@@ -105,9 +100,10 @@ class ExperimentSpec:
             raise PinchcastError("trials must be >= 1")
         if self.seed < 0:
             raise PinchcastError("seed must be >= 0")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise PinchcastError(f"unknown scheme {s!r}")
+        if not (isinstance(self.schemes, list) and all(s in SCHEMES for s in self.schemes)):
+            raise PinchcastError(f"schemes must be a list drawn from {SCHEMES}, got {self.schemes!r}")
+        if self.topology_mode not in TOPOLOGY_MODES:
+            raise PinchcastError(f"topology_mode must be one of {TOPOLOGY_MODES}, got {self.topology_mode!r}")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentSpec":
@@ -127,7 +123,7 @@ class ExperimentSpec:
 
 
 def spec_point_config(spec: ExperimentSpec, base: SystemConfig, value: float) -> SystemConfig:
-    cfg = replace(base, num_antennas=spec.num_antennas)
+    cfg = base if spec.num_antennas is None else replace(base, num_antennas=spec.num_antennas)
     if spec.sweep == "power_dbm":
         return cfg.with_power_dbm(value)
     if spec.sweep == "region_dx":

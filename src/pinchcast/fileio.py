@@ -19,8 +19,8 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_to_watts, watts_to_dbm
-from .errors import ConfigError, TopologyError
+from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_to_watts, is_number, watts_to_dbm
+from .errors import ConfigError, PinchcastError, TopologyError
 from .topology import Topology
 
 
@@ -38,16 +38,20 @@ def _load_yaml(path: str | Path) -> dict[str, Any]:
     return data
 
 
+def _dbm_watts(v: Any, key: str, error: type[PinchcastError]) -> float:
+    """The dBm value ``v`` given under ``key``, in watts."""
+    if not is_number(v):
+        raise error(f"{key} must be a number, got {v!r}")
+    return dbm_to_watts(float(v))
+
+
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     data = dict(data)
-    if "power_budget_dbm" in data:
-        if "power_budget_w" in data:
-            raise ConfigError("give power_budget_dbm or power_budget_w, not both")
-        data["power_budget_w"] = dbm_to_watts(float(data.pop("power_budget_dbm")))
-    if "noise_dbm" in data:
-        if "noise_w" in data:
-            raise ConfigError("give noise_dbm or noise_w, not both")
-        data["noise_w"] = dbm_to_watts(float(data.pop("noise_dbm")))
+    for alias, key in (("power_budget_dbm", "power_budget_w"), ("noise_dbm", "noise_w")):
+        if alias in data:
+            if key in data:
+                raise ConfigError(f"give {alias} or {key}, not both")
+            data[key] = _dbm_watts(data.pop(alias), alias, ConfigError)
     unknown = set(data) - set(CONFIG_FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -55,24 +59,32 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
 
 
 def load_config(path: str | Path) -> SystemConfig:
-    return config_from_dict(_load_yaml(path))
+    data = _load_yaml(path)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def topology_from_dict(data: dict[str, Any], default_noise_w: float) -> Topology:
     if "groups" not in data:
         raise TopologyError("topology file needs a 'groups' key")
+    if not isinstance(data["groups"], list):
+        raise TopologyError(f"groups must be a list of groups, got {data['groups']!r}")
     file_noise = data.get("noise_dbm")
-    base_noise = dbm_to_watts(float(file_noise)) if file_noise is not None else default_noise_w
+    base_noise = default_noise_w if file_noise is None else _dbm_watts(file_noise, "noise_dbm", TopologyError)
     xyz: list[list[float]] = []
     noise: list[float] = []
     groups: list[tuple[int, ...]] = []
     idx = 0
     for gi, users in enumerate(data["groups"]):
+        if not isinstance(users, list):
+            raise TopologyError(f"group {gi} must be a list of users, got {users!r}")
         members = []
-        for entry in users:
-            if len(entry) not in (2, 3):
+        for ui, entry in enumerate(users):
+            if not (isinstance(entry, list) and len(entry) in (2, 3) and all(map(is_number, entry))):
                 raise TopologyError(
-                    f"group {gi}: user entries must be [x, y] or [x, y, noise_dbm], got {entry}"
+                    f"group {gi}, user {ui}: expected numbers [x, y] or [x, y, noise_dbm], got {entry!r}"
                 )
             xyz.append([float(entry[0]), float(entry[1]), 0.0])
             noise.append(dbm_to_watts(float(entry[2])) if len(entry) == 3 else base_noise)
@@ -84,7 +96,11 @@ def topology_from_dict(data: dict[str, Any], default_noise_w: float) -> Topology
 
 def load_topology(path: str | Path, config: SystemConfig | None = None) -> Topology:
     default_noise = (config or SystemConfig()).noise_w
-    return topology_from_dict(_load_yaml(path), default_noise)
+    data = _load_yaml(path)
+    try:
+        return topology_from_dict(data, default_noise)
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc
 
 
 def topology_to_dict(topology: Topology) -> dict[str, Any]:

@@ -20,7 +20,7 @@ from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .records import SchemeSolution
-from .seo import ReachTest, ScreeningBound, SweepObjective, SweepTrace, random_placement
+from .seo import _REACH_RTOL, ReachTest, ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
 
 GAMMA_BISECT_ITERS = 60  # steps of the equalized-SINR bisection
@@ -115,19 +115,19 @@ def _required_total(inv_sorted: list[float], gamma: float) -> float:
     return s
 
 
-def _mmf_gamma(a_sorted: list[float], p_t: float, iters: int, rel_tol: float) -> float:
+def _mmf_gamma(a_sorted: list[float], p_t: float) -> float:
     gamma_max = p_t * a_sorted[0]
     inv_sorted = [1.0 / a for a in a_sorted]
     if _required_total(inv_sorted, gamma_max) <= p_t:
         return gamma_max
     lo, hi = 0.0, gamma_max
-    for _ in range(iters):
+    for _ in range(GAMMA_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if _required_total(inv_sorted, mid) <= p_t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:  # relative to the bracket, not to gamma_max
+        if hi - lo <= 1e-12 * hi:  # relative to the bracket, not to gamma_max
             break
     return lo
 
@@ -193,23 +193,20 @@ def _reaches(gain_matrix: np.ndarray, p_t: float, gamma: float) -> np.ndarray:
 
 
 # relative slack covering rounding differences between the batch bound and
-# the scalar objectives it screens
+# the scalar objectives it screens, well below _REACH_RTOL
 _BOUND_RTOL = 1e-12
-# relative slack under a screening floor: well above _BOUND_RTOL and the
-# rounding-level drift of the incumbent's gains between two evaluations
-_FLOOR_RTOL = 1e-9
 
 
 def mmf_rate_reaches(p_t: float) -> ReachTest:
     """Reach test of the max-min cancellation rate: the columns whose rate
-    may reach ``floor * (1 - _FLOOR_RTOL)``, by :func:`_reaches`.  The rate
+    may reach ``floor * (1 - _REACH_RTOL)``, by :func:`_reaches`.  The rate
     increases in every gain, so on optimistic gains the test keeps every
     column whose true gains reach that cut."""
 
     def reaches(gain_matrix: np.ndarray, floor: float) -> np.ndarray:
         if floor <= 0.0:
             return np.ones(gain_matrix.shape[1], dtype=bool)
-        return _reaches(gain_matrix, p_t, math.expm1(floor * (1.0 - _FLOOR_RTOL) * math.log(2.0)))
+        return _reaches(gain_matrix, p_t, math.expm1(floor * (1.0 - _REACH_RTOL) * math.log(2.0)))
 
     return reaches
 
@@ -225,7 +222,7 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
 
     Given a ``floor`` (the exact value of a column known to be attainable),
     the columns that :func:`mmf_rate_reaches` shows cannot reach
-    ``cut = floor * (1 - _FLOOR_RTOL)`` get ``cut`` (slacked), a valid bound
+    ``cut = floor * (1 - _REACH_RTOL)`` get ``cut`` (slacked), a valid bound
     below the floor, and only the others are solved.
     """
     reaches = mmf_rate_reaches(p_t)
@@ -236,7 +233,7 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
         rate = np.empty(a.shape[1])
         if floor > 0.0:
             live = reaches(a, floor)
-            rate[:] = floor * (1.0 - _FLOOR_RTOL)
+            rate[:] = floor * (1.0 - _REACH_RTOL)
         gamma = _mmf_gamma_batch(a[:, live], p_t)
         # log1p stays accurate for tiny SINRs; log2(1 + x) is what the scalar
         # objective computes, and it may round above log1p there
@@ -246,13 +243,7 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
     return bound
 
 
-def noma_mmf_bisection(
-    gains: np.ndarray,
-    p_t: float,
-    *,
-    iters: int = GAMMA_BISECT_ITERS,
-    rel_tol: float = 1e-12,
-) -> tuple[float, np.ndarray]:
+def noma_mmf_bisection(gains: np.ndarray, p_t: float) -> tuple[float, np.ndarray]:
     """Largest equalized SINR whose recursive power total fits the budget.
 
     Bisects over [0, p_t * min(gains)]; the total required power is strictly
@@ -263,7 +254,7 @@ def noma_mmf_bisection(
     if np.any(a <= 0) or p_t < 0:
         raise ValueError("gains must be positive and the budget nonnegative")
     dec = decoding_order(a)
-    gamma = _mmf_gamma(dec.gains_sorted.tolist(), p_t, iters, rel_tol)
+    gamma = _mmf_gamma(dec.gains_sorted.tolist(), p_t)
     powers_sorted, _ = recursive_power(dec.gains_sorted, gamma)
     powers = np.empty_like(powers_sorted)
     powers[dec.order] = powers_sorted
@@ -364,7 +355,7 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
         return SweepObjective.monotone(two_group_rate_batch(p_t))
 
     def exact(a: np.ndarray) -> float:
-        return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t, GAMMA_BISECT_ITERS, 1e-12))
+        return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t))
 
     return SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t), reaches=mmf_rate_reaches(p_t))
 

@@ -75,8 +75,9 @@ ScreeningBound = Callable[[np.ndarray, float], np.ndarray]
 ReachTest = Callable[[np.ndarray, float], np.ndarray]
 Moves = Callable[[], Generator[tuple["CandidateSet", int | None], int, None]]
 
-# relative slack of a batch objective's reach test, well above the
-# rounding-level drift of the incumbent's value between two evaluations
+# relative slack under the incumbent's value in every reach test and
+# screening cut, well above the rounding-level drift of that value between
+# two evaluations
 _REACH_RTOL = 1e-9
 
 
@@ -231,7 +232,6 @@ def random_placement(
     config: SystemConfig,
     rng: np.random.Generator,
     n_antennas: int | None = None,
-    max_tries: int = 200,
 ) -> Placement:
     """Draw antenna positions from the grid, rejecting spacing violations.
 
@@ -241,7 +241,7 @@ def random_placement(
     grid = CandidateGrid.from_config(config)
     if n > grid.num_points:
         raise InfeasiblePlacementError(f"cannot place {n} antennas on {grid.num_points} grid points")
-    for _ in range(max_tries):
+    for _ in range(200):
         xs = np.sort(grid.points[rng.choice(grid.num_points, size=n, replace=False)])
         if n == 1 or np.all(np.diff(xs) >= config.min_spacing_m):
             return Placement(x_m=xs)
@@ -316,12 +316,8 @@ def _candidate_gains(c: CandidateSet, spans: list[tuple[int, int]]) -> np.ndarra
     """
     hr = c.t_re.take(c.q, axis=1)
     hi = c.t_im.take(c.q, axis=1)
-    if c.b_re.shape[1] == 1:  # one base column, so every p is 0
-        hr += c.b_re
-        hi += c.b_im
-    else:
-        hr += c.b_re.take(c.p, axis=1)
-        hi += c.b_im.take(c.p, axis=1)
+    hr += c.b_re.take(c.p, axis=1)
+    hi += c.b_im.take(c.p, axis=1)
     hr *= hr
     hi *= hi
     hr += hi

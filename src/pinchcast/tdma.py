@@ -79,11 +79,9 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
     ``_omega`` is convex and increasing, so Newton descends monotonically onto
     the root from any point to its right, and a step from the left lands to
     its right.  The cold start lies right of the root and caps every iterate,
-    so a far-off warm ``seed`` cannot overshoot.  Near the root rounding can
-    make the iterate cycle through two or three values a few ulps apart
-    without a step small enough to stop.  The iteration is a fixed map, so
-    such a cycle repeats forever; a rounding-level step back to either of the
-    two iterates before it ends the loop.
+    so a far-off warm ``seed`` cannot overshoot.  The iteration stops once a
+    step is at most 1e-12 relative: convergence is quadratic, so the iterate
+    is at rounding level then.
     """
     if y <= 0.0:
         raise ValueError("omega inverse requires a positive target")
@@ -92,7 +90,6 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
     else:
         u_max = min(math.log2(y + 2.0), _U_CAP)
     u = seed if seed is not None and 0.0 < seed < u_max else u_max
-    u1 = u2 = 0.0  # iterates left by the last two rounding-level steps
     for _ in range(100):
         v = LN2 * u
         em1 = math.expm1(v)
@@ -102,11 +99,8 @@ def _omega_inv(y: float, seed: float | None = None) -> float:
             u_new = 0.5 * u
         elif u_new > u_max:
             u_new = u_max
-        step = abs(u_new - u)
-        if step <= 1e-12 * u:  # tested first, so larger steps cost no more
-            if step <= 1e-15 * u or u_new == u1 or u_new == u2:
-                return u_new
-            u2, u1 = u1, u
+        if abs(u_new - u) <= 1e-12 * u:
+            return u_new
         u = u_new
     return u
 
@@ -122,10 +116,9 @@ def _omega_of_v(v: np.ndarray, em1: np.ndarray) -> np.ndarray:
 
 
 def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise :func:`_omega_inv`: the same capped Newton iteration, each
-    entry stopped once its step is below 1e-12 relative (quadratic
-    convergence puts the iterate at rounding level then), so an entry's
-    result does not depend on the other entries of the batch."""
+    """Elementwise :func:`_omega_inv`: the same capped Newton iteration and
+    the same stop, each entry on its own step, so an entry's result does not
+    depend on the other entries of the batch."""
     y = np.asarray(y, dtype=float)
     shape = y.shape
     y = y.ravel()
@@ -220,23 +213,18 @@ def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
 
     Every column gets the max-min NOMA rate
     (:func:`~pinchcast.noma.mmf_rate_bound_batch`; superposition coding
-    dominates time sharing), floored at the larger of ``floor`` and the
-    best equal-slot rate, a feasible and hence attainable rate.  Columns
-    whose NOMA bound reaches that floor are tightened with
-    :func:`_frontier_dual_bound`; the others cannot be selected anyway.
-    For the same reason the dual refines a column only while its bound
-    stays at or above the floor.  The dual pass costs about as much as a
-    few exact evaluations, so it is skipped when no more than
+    dominates time sharing), cut at ``floor``, the exact rate of the
+    sweep's incumbent.  Columns whose NOMA bound reaches the floor are
+    tightened with :func:`_frontier_dual_bound`; the others cannot be
+    selected anyway.  For the same reason the dual refines a column only
+    while its bound stays at or above the floor.  The dual pass costs about
+    as much as a few exact evaluations, so it is skipped when no more than
     ``_DUAL_MIN_COLS`` columns reach the floor.
     """
     noma_bound = mmf_rate_bound_batch(p_t)
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         a = np.asarray(gain_matrix, dtype=float)
-        g = a.shape[0]
-        if g == 1:
-            return noma_bound(a, floor)
-        floor = max(_equal_slot_rate(a, p_t).max(), floor)
         b = noma_bound(a, floor)
         cols = np.flatnonzero(b >= floor)
         if cols.size <= _DUAL_MIN_COLS:
@@ -274,7 +262,7 @@ def _tau_vector(a: list[float], t: float, nu: float, seeds: list[float] | None) 
     return taus, us
 
 
-def min_total_energy(gains: np.ndarray, t: float, *, iters: int = 80) -> tuple[float, np.ndarray]:
+def min_total_energy(gains: np.ndarray, t: float) -> tuple[float, np.ndarray]:
     """Least total energy sustaining common rate ``t`` over one frame.
 
     Bisects the multiplier nu until the slot lengths sum to one.  No solver
@@ -322,7 +310,7 @@ def min_total_energy(gains: np.ndarray, t: float, *, iters: int = 80) -> tuple[f
             raise PinchcastError("failed to bracket the frame constraint from below")
 
     best_nu = nu
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         s = total_tau(mid)
         best_nu = mid
@@ -527,12 +515,13 @@ def tdma_solution(
 ) -> SchemeSolution:
     """Time and energy split for the per-group gains the sweeps ended on.
 
-    A slot-switched (PS) sweep runs on its own group's users alone, so slot
-    g takes the one gain of ``traces[g]``; a shared placement (PM) takes the
-    gain vector of its one trace.  ``equal_time`` (more than one group) uses
-    the closed-form equal-slot powers; otherwise the joint allocator runs.
+    The gains are those of every trace in turn: a slot-switched (PS) sweep
+    per group, each on its own group's users alone, or the one shared
+    placement's (PM) sweep.  ``protocol`` names the scheme.  ``equal_time``
+    (more than one group) uses the closed-form equal-slot powers; otherwise
+    the joint allocator runs.
     """
-    gains = np.array([t.gains[0] for t in traces]) if protocol == "PS" else traces[0].gains
+    gains = np.concatenate([t.gains for t in traces])
     p_t = config.power_budget_w
     g = gains.size
     equal_time = equal_time and g > 1

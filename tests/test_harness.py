@@ -169,6 +169,9 @@ class TestRunExperiment:
         spec2 = self._tiny_spec(sweep="region_dx", values=[10.0, 12.0])
         cfg2 = spec_point_config(spec2, self._tiny_config(), 12.0)
         assert cfg2.waveguide_length_m == 12.0
+        # a spec without num_antennas keeps the config's
+        spec3 = ExperimentSpec(sweep="power_dbm", values=[0.0])
+        assert spec_point_config(spec3, self._tiny_config(), 0.0).num_antennas == 2
 
     def test_group_sweep_scales_users(self):
         spec = self._tiny_spec(sweep="num_groups", values=[2.0, 3.0], users_per_group=2)
@@ -313,7 +316,7 @@ class TestExperimentSpec:
         for key, value in [
             ("trials", "3"), ("trials", True), ("seed", 1.5), ("seed", -1), ("num_groups", 2.5),
             ("num_users", "12"), ("users_per_group", 2.0), ("num_antennas", "4"),
-            ("baseline", "no"), ("equal_time", 1),
+            ("baseline", "no"), ("equal_time", 1), ("schemes", "tin"), ("topology_mode", "clustered"),
         ]:
             with pytest.raises(PinchcastError, match=key):
                 ExperimentSpec.from_dict({**base, key: value})
@@ -454,10 +457,18 @@ class TestCli:
             ({"sweep": "power_dbm", "values": [0.0]}, None),
             (None, {}),
             ("sweep: [power_dbm\nvalues: [0.0]\n", {}),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"grid_points": "200"}),
+            # PyYAML reads 28e9 as a string; 28.0e9 is a float
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "carrier_hz: 28e9\n"),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"max_outer_iters": 2.5}),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"grid_points": 40.5}),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "power_budget_dbm: abc\n"),
         ],
         ids=[
             "unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values",
             "string-trials", "missing-config-file", "missing-spec-file", "malformed-yaml",
+            "string-grid-points", "string-carrier", "fractional-sweep-cap", "fractional-grid-points",
+            "string-power-alias",
         ],
     )
     def test_input_errors_end_in_one_line(self, tmp_path, spec, config):
@@ -473,13 +484,21 @@ class TestCli:
         self._assert_one_line_error(r)
 
     @pytest.mark.parametrize(
-        "case", ["missing-topology", "malformed-topology", "undecodable-topology", "missing-out-dir"]
+        "case",
+        [
+            "missing-topology", "malformed-topology", "undecodable-topology", "missing-out-dir",
+            "flat-group", "string-coordinate", "scalar-groups", "string-noise",
+        ],
     )
     def test_solve_input_errors_end_in_one_line(self, tmp_path, case):
         topology = {
             "malformed-topology": b"groups: [[[2.0, 1.0]]\n",
             "undecodable-topology": b"\xff\xfe groups\n",
             "missing-out-dir": b"groups:\n  - [[2.0, 1.0]]\n",
+            "flat-group": b"groups:\n  - [3.2, 1.0]\n",
+            "string-coordinate": b"groups:\n  - [[abc, 2.0]]\n",
+            "scalar-groups": b"groups: 5\n",
+            "string-noise": b"groups:\n  - [[2.0, 1.0]]\nnoise_dbm: loud\n",
         }.get(case)
         topo_path, cfg_path = tmp_path / "topo.yaml", tmp_path / "cfg.yaml"
         cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 20\nnum_antennas: 2\n")

@@ -204,7 +204,7 @@ class TestMmfBisection:
                 for inv_k in (1.0 / a)[::-1]:
                     total += mid * (inv_k + total)
                 lo, hi = np.where(total <= p_t, mid, lo), np.where(total <= p_t, hi, mid)
-            got = np.array([_mmf_gamma(a[:, j].tolist(), p_t[j], 60, 1e-12) for j in range(n)])
+            got = np.array([_mmf_gamma(a[:, j].tolist(), p_t[j]) for j in range(n)])
             worst = max(worst, float(np.max((lo - got) / lo)))
         return worst
 
@@ -239,7 +239,7 @@ class TestMmfRateBound:
                 p_t = 10.0 ** (dbm / 10.0) / 1000.0
                 A = self._gains(rng, g)
                 got = _mmf_gamma_batch(A, p_t)
-                want = np.array([_mmf_gamma(sorted(c.tolist()), p_t, 60, 1e-12) for c in A.T])
+                want = np.array([_mmf_gamma(sorted(c.tolist()), p_t) for c in A.T])
                 width = np.maximum(1e-15, 1e-12 * p_t * A.min(axis=0))
                 assert np.all(got >= want * (1.0 - 1e-15)), (g, dbm)
                 assert np.all(got - want <= width + 1e-15 * got), (g, dbm)
@@ -271,7 +271,7 @@ class TestMmfRateBound:
                 A = self._gains(rng, g)
                 bound = mmf_rate_bound_batch(p_t)(A)
                 # the scalar objective of solve_noma
-                gamma = [_mmf_gamma(sorted(c.tolist()), p_t, 60, 1e-12) for c in A.T]
+                gamma = [_mmf_gamma(sorted(c.tolist()), p_t) for c in A.T]
                 noma = np.array([math.log2(1.0 + gm) for gm in gamma])
                 solver = _PmRateSolver(p_t)  # one solver across columns, as in a sweep
                 pm = np.array([solver.rate(c) for c in A.T])

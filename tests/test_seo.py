@@ -287,7 +287,7 @@ class TestScreeningFloor:
     def _screens(p_t):
         # (screening bound, stateless exact objective) of noma and tdma-pm
         def noma_rate(c):
-            return math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t, 60, 1e-12))
+            return math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t))
 
         return {
             "noma": (mmf_rate_bound_batch(p_t), noma_rate),

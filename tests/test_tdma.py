@@ -278,13 +278,11 @@ class TestPmRateBound:
         return 10.0 ** (5.5 - 4.5 * np.abs(x - centre) + rng.uniform(-0.5, 0.0, (g, cols)))
 
     @staticmethod
-    def _unfloored_bound(A, p_t):
-        # pm_rate_bound_batch with every column the NOMA bound sends to the
-        # dual refined through all of its steps
+    def _unfloored_bound(A, p_t, floor=-math.inf):
+        # pm_rate_bound_batch with every column whose NOMA bound reaches
+        # ``floor`` refined by the dual through all of its steps
         b = mmf_rate_bound_batch(p_t)(A)
-        g = A.shape[0]
-        t_eq = np.log2(1.0 + g * p_t / np.sum(1.0 / A, axis=0)) / g
-        cols = np.flatnonzero(b >= t_eq.max())
+        cols = np.flatnonzero(b >= floor)
         if cols.size > _DUAL_MIN_COLS:
             b[cols] = np.fmin(b[cols], _frontier_dual_bound(A[:, cols], p_t) * (1.0 + _DUAL_RTOL))
         return b
@@ -378,14 +376,14 @@ class TestPmRateBound:
         pm = np.array([pm_rate(c, p_t) for c in A.T])
         bound = pm_rate_bound_batch(p_t)(A)
         noma = mmf_rate_bound_batch(p_t)(A)
-        # columns whose NOMA bound reaches the best equal-slot rate go to the
-        # dual, which, refined without a floor, is tight on every one of them
+        # the dual, refined without a floor, is tight on every column whose
+        # NOMA bound reaches the best equal-slot rate, an attainable rate
         t_eq = np.log2(1.0 + 4 * p_t / np.sum(1.0 / A, axis=0)) / 4
         refined = noma >= t_eq.max()
         assert refined.sum() > 4
         assert np.all(_frontier_dual_bound(A[:, refined], p_t) <= pm[refined] * (1.0 + 1e-6))
-        # the screening bound refines only the columns that stay at or above
-        # that rate, and is tight there
+        # without a floor the screening bound refines every column, and is
+        # tight on those at or above that rate
         assert np.all(bound >= pm)
         kept = bound >= t_eq.max()
         assert np.all(bound[kept] <= pm[kept] * (1.0 + 1e-6))
@@ -396,7 +394,7 @@ class TestPmRateBound:
         assert (bound >= pm.max()).sum() < (noma >= pm.max()).sum()
 
     def test_floor_marks_the_same_columns_for_the_exact_stage(self):
-        # a column dropped below the best equal-slot rate keeps a looser
+        # a column dropped below an incumbent's exact rate keeps a looser
         # bound, but one still below every rate the selection can reach
         rng = np.random.default_rng(34)
         loosened = 0
@@ -406,8 +404,9 @@ class TestPmRateBound:
                     p_t = 10.0 ** (dbm / 10.0) / 1000.0
                     A = gains(rng, g, cols=40)
                     pm = np.array([pm_rate(c, p_t) for c in A.T])
-                    bound = pm_rate_bound_batch(p_t)(A)
-                    full = self._unfloored_bound(A, p_t)
+                    floor = pm[rng.integers(A.shape[1])]
+                    bound = pm_rate_bound_batch(p_t)(A, floor)
+                    full = self._unfloored_bound(A, p_t, floor)
                     # to rounding: a column the NOMA feasibility test drops
                     # gets the cut, which may lie an ulp below its Newton root
                     assert np.all(bound >= full * (1.0 - 1e-14)), (g, dbm)
