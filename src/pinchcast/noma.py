@@ -5,13 +5,14 @@ strips the messages of all weaker groups before decoding its own, so the
 remaining interference at a group comes only from stronger groups.  For a
 target equalized SINR the minimum power of each group follows a backward
 recursion from the strongest group, and the largest supportable SINR is found
-by bisection on the power budget.  The two-group case has a quadratic closed
-form used directly as the placement objective.
+by bisection on the power budget.  One and two groups have closed forms, used
+directly as the placement objective and the final split.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,10 +34,6 @@ class DecodingOrder:
     order: np.ndarray         # group indices, weakest first
     gains_sorted: np.ndarray
 
-    @property
-    def num_groups(self) -> int:
-        return self.order.size
-
 
 def decoding_order(gains: np.ndarray) -> DecodingOrder:
     a = np.asarray(gains, dtype=float)
@@ -46,19 +43,37 @@ def decoding_order(gains: np.ndarray) -> DecodingOrder:
     return DecodingOrder(order=order, gains_sorted=a[order])
 
 
-def two_group_power(a_s: float, a_w: float, p_t: float) -> tuple[float, float, float]:
-    """Closed-form split for two groups: (strong power, weak power, SINR).
+def closed_form_sinr(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
+    """Equalized SINR of each column of a (G, L) gain matrix, G = 1 or 2.
 
-    The equalized SINR solves a quadratic in the strong group's power; the
-    root is evaluated in a cancellation-free form.
+    A lone group holds the whole budget, p_t * a.  For two groups the SINR
+    solves a quadratic in the strong group's power; the root is evaluated in
+    a cancellation-free form.
     """
+    if gain_matrix.shape[0] == 1:
+        return p_t * gain_matrix[0]
+    a_s = gain_matrix.max(axis=0)
+    a_w = gain_matrix.min(axis=0)
+    b = a_s + a_w
+    return 2.0 * p_t * a_s * a_w / (b + np.sqrt(b * b + 4.0 * p_t * a_s * a_w * a_w))
+
+
+def closed_form_rate(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
+    """Max-min rate of each column of a (G, L) gain matrix, G = 1 or 2, from
+    :func:`closed_form_sinr`."""
+    return np.log2(1.0 + closed_form_sinr(gain_matrix, p_t))
+
+
+def two_group_power(a_s: float, a_w: float, p_t: float) -> tuple[float, float, float]:
+    """Closed-form split for two groups: (strong power, weak power, SINR),
+    the SINR by :func:`closed_form_sinr`."""
     if a_s < a_w:
         raise ValueError(f"strong gain {a_s} must be >= weak gain {a_w}")
     if a_w <= 0 or p_t < 0:
         raise ValueError("gains must be positive and the budget nonnegative")
-    b = a_s + a_w
-    p_s = 2.0 * p_t * a_w / (b + math.sqrt(b * b + 4.0 * p_t * a_s * a_w * a_w))
-    return p_s, p_t - p_s, p_s * a_s
+    gamma = float(closed_form_sinr(np.array([[a_s], [a_w]]), p_t)[0])
+    p_s = gamma / a_s
+    return p_s, p_t - p_s, gamma
 
 
 def recursive_power(gains_sorted: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
@@ -79,6 +94,13 @@ def recursive_power(gains_sorted: np.ndarray, gamma: float) -> tuple[np.ndarray,
         powers[k] = gamma * (1.0 / a[k] + stronger)
         stronger += powers[k]
     return powers, float(stronger)
+
+
+def _group_powers(dec: DecodingOrder, gamma: float) -> np.ndarray:
+    """:func:`recursive_power` for target SINR ``gamma``, in group order."""
+    powers = np.empty(dec.order.size)
+    powers[dec.order] = recursive_power(dec.gains_sorted, gamma)[0]
+    return powers
 
 
 def single_pa_required_power(gains_sorted: np.ndarray, gamma: float) -> float:
@@ -255,10 +277,7 @@ def noma_mmf_bisection(gains: np.ndarray, p_t: float) -> tuple[float, np.ndarray
         raise ValueError("gains must be positive and the budget nonnegative")
     dec = decoding_order(a)
     gamma = _mmf_gamma(dec.gains_sorted.tolist(), p_t)
-    powers_sorted, _ = recursive_power(dec.gains_sorted, gamma)
-    powers = np.empty_like(powers_sorted)
-    powers[dec.order] = powers_sorted
-    return gamma, powers
+    return gamma, _group_powers(dec, gamma)
 
 
 def noma_sinrs(gains: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -322,37 +341,17 @@ def single_pa_asymptotic_objective(
     return float(np.min([(p_t * a_sorted[g - 1]) ** (1.0 / g) for g in range(1, a_sorted.size + 1)]))
 
 
-def two_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized two-group equalized rate over candidate gain columns."""
-
-    def rate(gain_matrix: np.ndarray) -> np.ndarray:
-        a_s = gain_matrix.max(axis=0)
-        a_w = gain_matrix.min(axis=0)
-        b = a_s + a_w
-        gamma = 2.0 * p_t * a_s * a_w / (b + np.sqrt(b * b + 4.0 * p_t * a_s * a_w * a_w))
-        return np.log2(1.0 + gamma)
-
-    return rate
-
-
-def lone_group_rate_batch(p_t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Rate of a single group holding the whole budget, over candidate columns."""
-    return lambda gain_matrix: np.log2(1.0 + p_t * gain_matrix[0])
-
-
 def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
     """Placement (or phase) sweep objective: the max-min cancellation rate.
 
-    One group gets the whole budget and two groups use the closed-form SINR,
-    both vectorized; larger instances run the scalar bisection, screened by
+    One or two groups use :func:`closed_form_rate`, vectorized; larger
+    instances run the scalar bisection, screened by
     :func:`mmf_rate_bound_batch`, whose cut below the floor is also their
     reach test (:func:`mmf_rate_reaches`).
     """
     p_t = config.power_budget_w
-    if num_groups == 1:
-        return SweepObjective.monotone(lone_group_rate_batch(p_t))
-    if num_groups == 2:
-        return SweepObjective.monotone(two_group_rate_batch(p_t))
+    if num_groups <= 2:
+        return SweepObjective.monotone(partial(closed_form_rate, p_t=p_t))
 
     def exact(a: np.ndarray) -> float:
         return math.log2(1.0 + _mmf_gamma(sorted(a.tolist()), p_t))
@@ -361,13 +360,21 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
 
 
 def noma_solution(placement: Placement, trace: SweepTrace, config: SystemConfig) -> SchemeSolution:
-    """Equalized-SINR power split for the gains a sweep ended on; its rate is
-    the sweep's last objective value."""
+    """Equalized-SINR power split for the gains a sweep ended on.  Its rate
+    is the sweep's last objective value: :func:`noma_objective`'s arithmetic
+    (the closed form on one column, or the bisection) gives both."""
     a = trace.gains
-    gamma, powers = noma_mmf_bisection(a, config.power_budget_w)
+    p_t = config.power_budget_w
+    if a.size > 2:
+        gamma, powers = noma_mmf_bisection(a, p_t)
+        rate = math.log2(1.0 + gamma)
+    else:
+        gamma = float(closed_form_sinr(a[:, None], p_t)[0])
+        rate = float(closed_form_rate(a[:, None], p_t)[0])
+        powers = _group_powers(decoding_order(a), gamma)
     return SchemeSolution.from_sweeps(
         "noma", [placement], [trace],
-        mmf_rate=math.log2(1.0 + gamma),
+        mmf_rate=rate,
         per_group_rates=np.log2(1.0 + noma_sinrs(a, powers)),
         power_w=powers,
         tau=np.ones(a.size),

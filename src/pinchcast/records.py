@@ -88,10 +88,6 @@ class SchemeSolution:
         # (ROADMAP item 3)
         return self
 
-    @property
-    def num_groups(self) -> int:
-        return self.per_group_rates.size
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "scheme": self.scheme,
@@ -118,8 +114,6 @@ class SchemeSolution:
 def _json_value(v: Any) -> Any:
     # strict JSON has no inf or nan: a one-group TIN ceiling (inf) or an
     # equal-slot multiplier (nan) is written as null
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v

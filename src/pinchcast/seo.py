@@ -218,14 +218,20 @@ def feasible_candidates(
     x = placement.x_m
     if not 0 <= n < x.size:
         raise IndexError(f"antenna index {n} out of range for {x.size} antennas")
+    return grid.points[_feasible_mask(grid.points, x, n, config.min_spacing_m)[0]]
+
+
+def _feasible_mask(points: np.ndarray, x: np.ndarray, n: int, min_spacing_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the ``points`` open to antenna ``n`` of ``x``, and the other
+    antennas; raises InfeasiblePlacementError when the mask is empty."""
     others = np.delete(x, n)
-    mask = spacing_mask(grid.points, others, config.min_spacing_m)
+    mask = spacing_mask(points, others, min_spacing_m)
     if not mask.any():
         raise InfeasiblePlacementError(
-            f"no grid candidate keeps {config.min_spacing_m:.6g} m spacing for antenna {n} "
+            f"no grid candidate keeps {min_spacing_m:.6g} m spacing for antenna {n} "
             f"(others at {np.array2string(others, precision=4)})"
         )
-    return grid.points[mask]
+    return mask, others
 
 
 def random_placement(
@@ -486,13 +492,7 @@ def _run_sweeps(
 
     def element_moves():
         for i in range(n):
-            others = np.delete(x, i)
-            mask = spacing_mask(grid.points, others, spacing)
-            if not mask.any():
-                raise InfeasiblePlacementError(
-                    f"no feasible grid candidate for antenna {i} during sweep "
-                    f"(others at {np.array2string(others, precision=4)})"
-                )
+            mask, others = _feasible_mask(grid.points, x, i, spacing)
             q = np.flatnonzero(mask)
             h_bar = fixed_sum(others)[:, None]
             c = CandidateSet(h_bar.real, h_bar.imag, t_re, t_im, np.zeros(q.size, dtype=np.intp), q, den)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .errors import PinchcastError
-from .noma import lone_group_rate_batch, mmf_rate_bound_batch
+from .noma import closed_form_rate, mmf_rate_bound_batch
 from .records import SchemeSolution
 from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
@@ -152,9 +152,11 @@ def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarra
 
 def _equal_slot_rate(gain_matrix: np.ndarray, p_t: float) -> np.ndarray:
     """Common rate of each gain column with every slot 1/G long and powers
-    inversely proportional to the gains: log2(1 + G p_t / sum(1/a)) / G."""
+    inversely proportional to the gains: log2(1 + G p_t / sum(1/a)) / G.
+    The sum runs row by row, so a column's rate does not depend on its batch
+    (``np.sum`` adds one column of eight or more gains pairwise)."""
     g = gain_matrix.shape[0]
-    return np.log2(1.0 + g * p_t / np.sum(1.0 / gain_matrix, axis=0)) / g
+    return np.log2(1.0 + g * p_t / reduce(np.add, 1.0 / gain_matrix)) / g
 
 
 def _frontier_dual_bound(
@@ -430,11 +432,8 @@ def pm_resource_allocation(gains: np.ndarray, p_t: float) -> tuple[float, TimeEn
     if np.any(a <= 0) or p_t <= 0:
         raise ValueError("gains and power budget must be positive")
     if a.size == 1:
-        a0 = float(a[0])
-        t = math.log2(1.0 + p_t * a0)
-        return t, TimeEnergyAllocation(
-            tau=np.ones(1), energy_w=np.array([p_t]), nu=_omega(t) / a0
-        )
+        t = float(closed_form_rate(a[:, None], p_t)[0])
+        return t, TimeEnergyAllocation(tau=np.ones(1), energy_w=np.array([p_t]), nu=_omega(t) / float(a[0]))
     t, nu, us = _frontier(a.tolist(), p_t)
     u = np.asarray(us)
     tau = t / u
@@ -449,10 +448,9 @@ class _PmRateSolver:
         self.p_t = p_t
 
     def rate(self, gains: np.ndarray) -> float:
-        a = gains.tolist()
-        if len(a) == 1:
-            return math.log2(1.0 + self.p_t * a[0])
-        return _frontier(a, self.p_t)[0]
+        if gains.size == 1:
+            return float(closed_form_rate(gains[:, None], self.p_t)[0])
+        return _frontier(gains.tolist(), self.p_t)[0]
 
 
 def pm_rate(gains: np.ndarray, p_t: float) -> float:
@@ -464,17 +462,14 @@ def equal_time_power(gains: np.ndarray, p_t: float) -> tuple[np.ndarray, float]:
     """Closed-form power split under equal slot lengths 1/G.
 
     Powers are inversely proportional to the gains so every product P_g * a_g
-    equals G * p_t / sum(1/a), and all slot rates coincide.
+    equals G * p_t / sum(1/a), and all slot rates coincide; the rate is
+    :func:`_equal_slot_rate` of the one column.
     """
     a = np.asarray(gains, dtype=float)
     if np.any(a <= 0) or p_t <= 0:
         raise ValueError("gains and power budget must be positive")
-    g = a.size
-    f_a = float(np.sum(1.0 / a))
-    common_snr = g * p_t / f_a
-    powers = common_snr / a
-    rate = math.log2(1.0 + common_snr) / g
-    return powers, rate
+    powers = a.size * p_t / float(np.sum(1.0 / a)) / a
+    return powers, float(_equal_slot_rate(a[:, None], p_t)[0])
 
 
 def single_pa_pm(
@@ -501,7 +496,7 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
     if equal_time and g > 1:
         return SweepObjective.monotone(partial(_equal_slot_rate, p_t=p_t))
     if g == 1:
-        return SweepObjective.monotone(lone_group_rate_batch(p_t))
+        return SweepObjective.monotone(partial(closed_form_rate, p_t=p_t))
     return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t))
 
 

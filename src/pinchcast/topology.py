@@ -124,10 +124,6 @@ class GroupGains:
             raise TopologyError("bottleneck CNRs must be positive")
 
     @property
-    def num_groups(self) -> int:
-        return self.a.size
-
-    @property
     def inv_sum(self) -> float:
         """Sum of inverse bottleneck CNRs (watts); the placement objective."""
         return float(np.sum(1.0 / self.a))

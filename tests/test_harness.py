@@ -186,13 +186,15 @@ class TestRunExperiment:
 
     def test_every_scheme_solves_across_powers_and_group_counts(self):
         # movable and fixed-array solves give a finite positive rate well
-        # beyond the presets' -20..30 dBm, for one to six groups
+        # beyond the presets' -20..30 dBm, for one to six groups, equal-slot
+        # tdma-pm included
+        runs = [(scheme, False) for scheme in SCHEMES] + [("tdma-pm", True)]
         for mode, dbm, g in itertools.product(TOPOLOGY_MODES, np.arange(-40.0, 51.0, 10.0), range(1, 7)):
             cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(dbm)
             topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
-            for baseline, scheme in itertools.product((False, True), SCHEMES):
-                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(0), False)
-                case = (mode, dbm, g, scheme, baseline)
+            for baseline, (scheme, equal_time) in itertools.product((False, True), runs):
+                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(0), equal_time)
+                case = (mode, dbm, g, scheme, equal_time, baseline)
                 assert math.isfinite(sol.mmf_rate) and sol.mmf_rate > 0, case
 
     def test_parallel_matches_serial(self):

@@ -388,16 +388,21 @@ class TestSweepEndState:
 
     def test_rate_is_the_last_objective_value(self):
         # the rate is that column's exact value, bit for bit, for the movable
-        # solvers and the fixed array alike; the final state's gains summed
-        # in another order differ from that column's by rounding
-        for mode, g, dbm in itertools.product(
-            ("uniform_random", "heterogeneous_clusters"), (3, 4, 5), (-20.0, 0.0, 20.0)
+        # solvers and the fixed array alike, at every group count and with
+        # equal slots too: the allocation computes it with the objective's
+        # own arithmetic.  The final state's gains summed in another order
+        # differ from that column's by rounding.  Three topologies per cell
+        # catch the rare last-bit differences of one group and of equal slots
+        runs = (("noma", False), ("tdma-pm", False), ("tdma-pm", True))
+        for seed, mode, g, dbm in itertools.product(
+            range(3), ("uniform_random", "heterogeneous_clusters"), range(1, 6), (-20.0, 0.0, 20.0, 30.0)
         ):
             cfg = SystemConfig(grid_points=40, num_antennas=4).with_power_dbm(dbm)
-            topo = generate_topology(mode, cfg, np.random.default_rng(0), num_groups=g, num_users=2 * g)
-            for scheme, baseline in itertools.product(("noma", "tdma-pm"), (False, True)):
-                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(1), False)
-                assert sol.mmf_rate == sol.traces[0]["objective"][-1], (mode, g, dbm, scheme, baseline)
+            topo = generate_topology(mode, cfg, np.random.default_rng(seed), num_groups=g, num_users=2 * g)
+            for (scheme, equal_time), baseline in itertools.product(runs, (False, True)):
+                sol = _solve_one(scheme, baseline, topo, cfg, np.random.default_rng(1), equal_time)
+                case = (seed, mode, g, dbm, scheme, equal_time, baseline)
+                assert sol.mmf_rate == sol.traces[0]["objective"][-1], case
 
 
 class TestScreenedSelection:

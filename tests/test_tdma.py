@@ -467,6 +467,18 @@ class TestEqualTimeSplit:
             snr = p * a
             assert np.max(snr) - np.min(snr) <= 1e-14 * np.max(snr)
 
+    def test_rate_is_the_objectives_value_of_the_column(self):
+        # the equal-slot sweep objective scores a batch of columns; the
+        # split's rate for one of them is that score bit for bit, for eight
+        # groups and more too
+        rng = np.random.default_rng(12)
+        for g in range(2, 13):
+            cfg = SystemConfig().with_power_dbm(rng.uniform(-20.0, 30.0))
+            A = 10.0 ** rng.uniform(4.0, 12.0, (g, 40))
+            scores, _ = pm_objective(g, cfg, equal_time=True).scores(A)
+            rates = [equal_time_power(A[:, j], cfg.power_budget_w)[1] for j in range(A.shape[1])]
+            assert rates == scores.tolist(), g
+
 
 class TestSinglePaEqualTime:
     def test_matches_gain_formula(self):
