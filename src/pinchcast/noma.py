@@ -140,7 +140,8 @@ def _required_total(inv_sorted: list[float], gamma: float) -> float:
 def _mmf_gamma(a_sorted: list[float], p_t: float) -> float:
     gamma_max = p_t * a_sorted[0]
     inv_sorted = [1.0 / a for a in a_sorted]
-    if _required_total(inv_sorted, gamma_max) <= p_t:
+    # a lone group takes the whole budget, even where (p_t a)(1/a) rounds above p_t
+    if len(a_sorted) == 1 or _required_total(inv_sorted, gamma_max) <= p_t:
         return gamma_max
     lo, hi = 0.0, gamma_max
     for _ in range(GAMMA_BISECT_ITERS):

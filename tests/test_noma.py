@@ -127,6 +127,13 @@ class TestMmfBisection:
         assert gamma == 6.0
         assert p[0] == pytest.approx(2.0, rel=1e-12)
 
+    def test_single_group_takes_the_whole_budget(self):
+        # (p_t a)(1/a) may round above p_t; the lone group's SINR is still
+        # p_t a, not a bisection that stops just below it
+        rng = np.random.default_rng(36)
+        for a, p_t in zip(10.0 ** rng.uniform(-2.0, 8.0, 2000), 10.0 ** rng.uniform(-5.0, 0.0, 2000)):
+            assert noma_mmf_bisection(np.array([a]), p_t)[0] == p_t * a
+
     def test_matches_two_group_closed_form(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

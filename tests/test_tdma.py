@@ -31,6 +31,7 @@ from pinchcast.tdma import (
     _frontier_dual_bound,
     _omega_inv,
     _omega_inv_batch,
+    _omega_inv_bracket,
     _PmRateSolver,
     pm_objective,
     pm_rate_bound_batch,
@@ -359,14 +360,29 @@ class TestPmRateBound:
                 assert np.all(bound >= pm), (g, dbm)
 
     def test_any_multiplier_gives_a_valid_bound(self):
-        # weak duality: a single Newton-free evaluation at a poor multiplier
-        # is loose but still above the optimum
+        # weak duality: the first evaluation alone, at the equal-slot
+        # multiplier and with unconverged slot exponents, is loose but still
+        # above the optimum; each generator's log-gains are doubled and
+        # shifted, onto 1e-1..1e8 (uniform) and 1e-2..1e8 (clustered)
         rng = np.random.default_rng(32)
-        for g in (2, 4):
-            A = self._gains(rng, g, cols=20)
-            p_t = 1e-3
-            pm = np.array([pm_rate(c, p_t) for c in A.T])
-            assert np.all(_frontier_dual_bound(A, p_t, steps=0) >= pm * (1.0 - 1e-13))
+        for gains in (self._gains, self._clustered_gains):
+            for g in range(2, 7):
+                for dbm in np.arange(-40.0, 51.0, 10.0):
+                    p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                    A = 10.0 ** (2.0 * np.log10(gains(rng, g, cols=20)) - 3.0)
+                    pm = np.array([pm_rate(c, p_t) for c in A.T])
+                    assert np.all(_frontier_dual_bound(A, p_t, steps=0) >= pm * (1.0 - 1e-13)), (g, dbm)
+
+    def test_secant_point_lies_left_of_the_root(self):
+        # the first evaluation's bound on c_g is valid after any number of
+        # omega Newton steps: over the series region (v < 0.1), the capped
+        # start below y = 4, the fixed-point start above it and the cap
+        # _U_CAP, where the root lies beyond reach
+        y = np.r_[10.0 ** np.linspace(-12.0, 8.0, 801), np.linspace(3.5, 4.5, 101), 1e305]
+        for steps in range(9):
+            u_lo, u, _ = _omega_inv_bracket(y, steps)
+            assert np.all(u_lo > 0.0), steps
+            assert all(tdma._omega(x) <= t for x, t in zip(u_lo, y)), steps
 
     def test_refines_columns_the_noma_bound_leaves_loose(self):
         # clustered high-power regime: the NOMA rate is far above time sharing
@@ -415,17 +431,20 @@ class TestPmRateBound:
         assert loosened > 0  # the floor did stop some columns early
 
     def test_screened_and_plain_shared_placement_sweeps_agree_at_high_power(self):
-        for mode, g in itertools.product(("uniform_random", "heterogeneous_clusters"), (4, 5, 6)):
-            cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(30.0)
+        # also at the reference power (-10 dBm) and above the high-power
+        # workload's 30 dBm
+        modes = ("uniform_random", "heterogeneous_clusters")
+        for mode, g, dbm in itertools.product(modes, (4, 5, 6), (-10.0, 30.0, 40.0)):
+            cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(dbm)
             topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
             plain = replace(pm_objective(g, cfg), bound_batch=None)
             hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7))
             start = random_placement(cfg, np.random.default_rng(7))
             best, _ = seo._run_sweeps(start, topo, cfg, plain)
-            assert np.array_equal(hoe.placements[0], best.x_m), (mode, g)
+            assert np.array_equal(hoe.placements[0], best.x_m), (mode, g, dbm)
             hoe = solve_ula(topo, "tdma-pm", cfg)
             phases, _ = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), plain)
-            assert np.array_equal(hoe.phases, phases), (mode, g)
+            assert np.array_equal(hoe.phases, phases), (mode, g, dbm)
 
 
 class TestEqualTimeSplit:
