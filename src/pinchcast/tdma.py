@@ -39,6 +39,7 @@ _EXP_CAP = 700.0      # exponent cap for 2^(t/tau); larger means infeasible tau
 _U_CAP = 1000.0       # keeps _omega(u) and its derivative below float overflow
 _SECANT_SHRINK = 1e-13    # relative margin of a secant point against rounding in omega
 _FIRST_NEWTON_STEPS = 2   # omega Newton steps of the dual bound's first evaluation
+_REFINE_NEWTON_STEPS = 6  # omega Newton steps of each refined evaluation, from warm exponents
 _NU_STOP = 1e-4           # the dual bound stops refining a column once |d log nu| <= this
 
 
@@ -118,77 +119,57 @@ def _omega_of_v(v: np.ndarray, em1: np.ndarray) -> np.ndarray:
     return w
 
 
-def _omega_start_batch(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and cap of the batch omega inverse, both right of the root.
+def _omega_start_batch(
+    y: np.ndarray, seed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start and cap of the batch omega inverse.
 
-    The cap is :func:`_omega_inv`'s cold start.  For y >= 4 the start takes
-    two passes of the fixed point u = log2((y - 1)/(u ln2 - 1)) of
-    omega(u) = y from the cap.  The map decreases in u, so its second pass
-    from a point right of the root ends right of the root again.  Its slope
-    is -1/(u ln2 - 1), so at large y the two passes put the start near the
-    root.
+    The cap is :func:`_omega_inv`'s cold start.  A warm ``seed`` is the
+    start where 0 < seed < cap, as in :func:`_omega_inv`.  The cold start
+    lies right of the root: for y >= 4 it takes two passes of the fixed
+    point u = log2((y - 1)/(u ln2 - 1)) of omega(u) = y from the cap.  The
+    map decreases in u, so its second pass from a point right of the root
+    ends right of the root again.  Its slope is -1/(u ln2 - 1), so at large
+    y the two passes put the start near the root.
     """
     u_max = np.where(
         y < 1.0,
         np.maximum(np.sqrt(2.0 * y) / LN2, 1e-12),
         np.minimum(np.log2(y + 2.0), _U_CAP),
     )
+    if seed is not None:
+        warm = (seed > 0.0) & (seed < u_max)
+        if warm.all():
+            return seed, u_max
     u = u_max
     with np.errstate(divide="ignore", invalid="ignore"):  # entries below 4 are discarded
         for _ in range(2):
             u = np.log2((y - 1.0) / (LN2 * u - 1.0))
-    return np.where(y >= 4.0, np.minimum(u, u_max), u_max), u_max
+    u = np.where(y >= 4.0, np.minimum(u, u_max), u_max)
+    return (u if seed is None else np.where(warm, seed, u)), u_max
 
 
-def _omega_newton(u: np.ndarray, y: np.ndarray, u_max: np.ndarray) -> np.ndarray:
-    # one elementwise Newton step of omega(u) = y, capped at u_max as in
-    # _omega_inv
-    v = LN2 * u
-    em1 = np.expm1(v)
-    u_new = u - (_omega_of_v(v, em1) - y) / (LN2 * v * (em1 + 1.0))
-    return np.where(u_new <= 0.0, 0.5 * u, np.minimum(u_new, u_max))
-
-
-def _omega_inv_batch(y: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise :func:`_omega_inv`: the same capped Newton iteration and
-    the same stop, each entry on its own step, so an entry's result does not
-    depend on the other entries of the batch.  Only the cold start differs
-    (:func:`_omega_start_batch`), so the result agrees with the scalar's to
-    1e-13."""
-    y = np.asarray(y, dtype=float)
-    shape = y.shape
-    y = y.ravel()
-    u, u_max = _omega_start_batch(y)
-    if seed is not None:
-        seed = np.ravel(seed)
-        u = np.where((seed > 0.0) & (seed < u_max), seed, u)
-    out = np.empty_like(y)
-    live = np.arange(y.size)  # entries still stepping
-    for _ in range(100):
-        u_new = _omega_newton(u, y, u_max)
-        out[live] = u_new
-        keep = np.abs(u_new - u) > 1e-12 * u
-        if not keep.all():
-            live, y, u_max, u_new = live[keep], y[keep], u_max[keep], u_new[keep]
-        if not live.size:
-            break
-        u = u_new
-    return out.reshape(shape)
-
-
-def _omega_inv_bracket(y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _omega_inv_bracket(
+    y: np.ndarray, steps: int, seed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points on either side of the root of omega(u) = y without iterating
     to convergence: (u_lo, u, expm1(u ln2)).
 
-    ``u`` is ``steps`` Newton steps from :func:`_omega_start_batch`, which
-    stay right of the root.  omega is convex with omega(0) = 0, so the
-    secant point u_lo = u y / omega(u) of any u with omega(u) > y has
-    omega(u_lo) <= y, and otherwise u_lo = u already lies left of the root.
-    u_lo is shrunk by ``_SECANT_SHRINK`` against the rounding of omega.
+    ``u`` is ``steps`` Newton steps from :func:`_omega_start_batch`, each
+    capped as in :func:`_omega_inv`.  omega is convex, so a step from
+    either side of the root lands on its right, and Newton stays there.
+    omega(0) = 0 as well, so the secant point u_lo = u y / omega(u) of any
+    u with omega(u) > y has omega(u_lo) <= y, and otherwise u_lo = u
+    already lies left of the root.  u_lo is shrunk by ``_SECANT_SHRINK``
+    against the rounding of omega.  Every entry steps on its own, so it
+    does not depend on its batch.
     """
-    u, u_max = _omega_start_batch(y)
+    u, u_max = _omega_start_batch(y, seed)
     for _ in range(steps):
-        u = _omega_newton(u, y, u_max)
+        v = LN2 * u
+        em1 = np.expm1(v)
+        u_new = u - (_omega_of_v(v, em1) - y) / (LN2 * v * (em1 + 1.0))  # d omega / du = ln2^2 u 2^u
+        u = np.where(u_new <= 0.0, 0.5 * u, np.minimum(u_new, u_max))
     v = LN2 * u
     em1 = np.expm1(v)
     u_lo = u * np.minimum(y / _omega_of_v(v, em1), 1.0) * (1.0 - _SECANT_SHRINK)
@@ -218,15 +199,17 @@ def _frontier_dual_bound(
     at the optimal multiplier.  ``nu`` starts from the equal-slot
     allocation.
 
-    The first evaluation does not converge the slot exponents: it takes
-    ``_FIRST_NEWTON_STEPS`` Newton steps and takes the tangent's slope at
-    the secant point u_lo <= u* (:func:`_omega_inv_bracket`).  The slope
-    increases with u, so ln2 2^u_lo / a_g <= c_g(nu) and the bound is valid
-    however far the steps left u from u*.  Most columns already fall below
-    ``floor`` there and take no further steps, keeping that bound.  The
-    others take up to ``steps`` Newton steps on energy(nu) = p_t, each
-    evaluated at converged slot exponents, where the minimand is c_g to
-    rounding.  A column stops once a step moves log nu by at most
+    Every evaluation takes Newton steps towards each root u* and then the
+    tangent's slope at the secant point u_lo <= u*
+    (:func:`_omega_inv_bracket`).  The slope increases with u, so
+    ln2 2^u_lo / a_g <= c_g(nu) and each bound is valid however far the
+    steps left u from u*.  The first evaluation takes
+    ``_FIRST_NEWTON_STEPS`` steps from a cold start; most columns already
+    fall below ``floor`` there and take no further steps, keeping that
+    bound.  The others take up to ``steps`` Newton steps on
+    energy(nu) = p_t, each evaluated after ``_REFINE_NEWTON_STEPS`` steps
+    warm-started from the previous exponents, which leave u_lo at the root
+    to rounding.  A column stops once a step moves log nu by at most
     ``_NU_STOP``.  The smallest bound met on the way is returned.  Columns
     where a slot exponent hits its cap get ``inf`` (no bound).
     """
@@ -237,14 +220,11 @@ def _frontier_dual_bound(
     nu = np.exp(np.mean(np.log(w / a), axis=0))  # geometric mean of the slot multipliers
     best = np.full(a.shape[1], np.inf)
     live = np.arange(a.shape[1])  # columns still refined
+    u = None
     with np.errstate(all="ignore"):
-        u_lo, u, em1 = _omega_inv_bracket(a * nu, _FIRST_NEWTON_STEPS)
-        dual = (p_t + nu) / np.sum(LN2 * np.exp(LN2 * u_lo) / a, axis=0)
         for k in range(steps + 1):
-            if k:
-                u = _omega_inv_batch(a * nu, u)
-                em1 = np.expm1(LN2 * u)
-                dual = (p_t + nu) / np.sum((em1 / a + nu) / u, axis=0)
+            u_lo, u, em1 = _omega_inv_bracket(a * nu, _REFINE_NEWTON_STEPS if k else _FIRST_NEWTON_STEPS, u)
+            dual = (p_t + nu) / np.sum(LN2 * np.exp(LN2 * u_lo) / a, axis=0)
             dual[np.any(u >= _U_CAP, axis=0)] = np.inf
             best[live] = np.fmin(best[live], dual)
             if k == steps:
@@ -254,14 +234,15 @@ def _frontier_dual_bound(
                 live, a, nu, u, em1 = live[keep], a[:, keep], nu[keep], u[:, keep], em1[:, keep]
             if not live.size:
                 break
-            # Newton in log nu on log energy(nu) = log p_t, as in _frontier
+            # Newton in log nu on log energy(nu) = log p_t, each step clipped
+            # to a factor e^3 (_frontier steps nu itself inside a bracket)
             t = 1.0 / np.sum(1.0 / u, axis=0)
             e_sum = np.sum(em1 / (u * a), axis=0)
             du = a / (LN2 * LN2 * u * (em1 + 1.0))
             d_energy = t * t * np.sum(du / (u * u), axis=0) * e_sum + t * np.sum(nu * du / (u * u), axis=0)
             energy = t * e_sum
             step = np.log(energy / p_t) * energy / (nu * d_energy)
-            if k:  # at converged exponents a short step means nu is near its optimum
+            if k:  # warm steps leave the exponents at their roots, so a short step means nu is near its optimum
                 keep = np.abs(step) > _NU_STOP
                 if not keep.all():
                     live, a, nu, u, step = live[keep], a[:, keep], nu[keep], u[:, keep], step[keep]
@@ -271,7 +252,8 @@ def _frontier_dual_bound(
     return best
 
 
-# relative slack covering rounding in the dual bound and in _frontier
+# relative slack covering the exact rate's rounding (_frontier) against the
+# bound's; every dual evaluation is a valid bound by construction
 _DUAL_RTOL = 1e-10
 _DUAL_MIN_COLS = 4
 
@@ -285,14 +267,14 @@ def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
     sweep's incumbent.  Columns whose NOMA bound reaches the floor are
     tightened with :func:`_frontier_dual_bound`; the others cannot be
     selected anyway.  For the same reason the dual refines a column only
-    while its bound stays at or above the floor.  The dual's first
-    evaluation, which screens every such column, is valid by construction:
-    it bounds each slot's cost from below by the slope of 2^u's tangent at
-    a secant point left of the root of omega(u) = a_g nu, so no slot
-    exponent needs to converge.  The refined evaluations converge them; ``_DUAL_RTOL``
-    covers their rounding and the exact rate's.  The dual pass costs about
-    as much as a few exact evaluations, so it is skipped when no more than
-    ``_DUAL_MIN_COLS`` columns reach the floor.
+    while its bound stays at or above the floor.  Every dual evaluation is
+    valid by construction: it bounds each slot's cost from below by the
+    slope of 2^u's tangent at a secant point left of the root of
+    omega(u) = a_g nu, so no slot exponent needs to converge.
+    ``_DUAL_RTOL`` covers only the rounding of the exact rate against the
+    bound's.  The dual pass costs about as much as a few exact evaluations,
+    so it is skipped when no more than ``_DUAL_MIN_COLS`` columns reach the
+    floor.
     """
     noma_bound = mmf_rate_bound_batch(p_t)
 

@@ -29,8 +29,9 @@ from pinchcast.tdma import (
     _DUAL_MIN_COLS,
     _DUAL_RTOL,
     _frontier_dual_bound,
+    _FIRST_NEWTON_STEPS,
+    _REFINE_NEWTON_STEPS,
     _omega_inv,
-    _omega_inv_batch,
     _omega_inv_bracket,
     _PmRateSolver,
     pm_objective,
@@ -288,19 +289,10 @@ class TestPmRateBound:
             b[cols] = np.fmin(b[cols], _frontier_dual_bound(A[:, cols], p_t) * (1.0 + _DUAL_RTOL))
         return b
 
-    def test_batch_omega_inverse_matches_scalar(self):
-        rng = np.random.default_rng(30)
-        y = 10.0 ** rng.uniform(-12.0, 8.0, 400)
-        want = np.array([_omega_inv(v) for v in y])
-        assert np.max(np.abs(_omega_inv_batch(y) - want) / want) <= 1e-13
-        # a warm seed on either side of the root converges to the same point
-        for seed in (0.5 * want, 2.0 * want):
-            assert np.max(np.abs(_omega_inv_batch(y, seed) - want) / want) <= 1e-13
-
     def test_columns_do_not_depend_on_their_batch(self):
-        # every entry stops on its own: splitting, permuting or duplicating
-        # the columns of a batch leaves the slot exponents and the dual
-        # bounds of every column bit for bit
+        # every entry steps on its own: splitting, permuting or duplicating
+        # the columns of a batch leaves the slot exponents, cold or
+        # warm-started, and the dual bounds of every column bit for bit
         rng = np.random.default_rng(35)
         for gains in (self._gains, self._clustered_gains):
             for g in range(2, 7):
@@ -313,8 +305,9 @@ class TestPmRateBound:
                     dup = np.r_[np.arange(50), np.arange(0, 50, 7)]
                     floor = rng.choice(pm_rate_bound_batch(p_t)(A))
                     for M, f in (
-                        (y, _omega_inv_batch),
-                        (y, lambda M: _omega_inv_batch(M, 0.5 * _omega_inv_batch(M))),
+                        (y, lambda M: np.stack(_omega_inv_bracket(M, _FIRST_NEWTON_STEPS)[:2])),
+                        (y, lambda M: np.stack(_omega_inv_bracket(
+                            M, _REFINE_NEWTON_STEPS, _omega_inv_bracket(2.0 * M, _FIRST_NEWTON_STEPS)[1])[:2])),
                         (A, lambda M: _frontier_dual_bound(M, p_t)),
                         (A, lambda M: _frontier_dual_bound(M, p_t, floor=floor)),
                     ):
@@ -362,7 +355,8 @@ class TestPmRateBound:
     def test_any_multiplier_gives_a_valid_bound(self):
         # weak duality: the first evaluation alone, at the equal-slot
         # multiplier and with unconverged slot exponents, is loose but still
-        # above the optimum; each generator's log-gains are doubled and
+        # above the optimum, and so is every refined evaluation, with or
+        # without a floor; each generator's log-gains are doubled and
         # shifted, onto 1e-1..1e8 (uniform) and 1e-2..1e8 (clustered)
         rng = np.random.default_rng(32)
         for gains in (self._gains, self._clustered_gains):
@@ -371,18 +365,27 @@ class TestPmRateBound:
                     p_t = 10.0 ** (dbm / 10.0) / 1000.0
                     A = 10.0 ** (2.0 * np.log10(gains(rng, g, cols=20)) - 3.0)
                     pm = np.array([pm_rate(c, p_t) for c in A.T])
-                    assert np.all(_frontier_dual_bound(A, p_t, steps=0) >= pm * (1.0 - 1e-13)), (g, dbm)
+                    for dual in (
+                        _frontier_dual_bound(A, p_t, steps=0),
+                        _frontier_dual_bound(A, p_t),
+                        _frontier_dual_bound(A, p_t, floor=np.median(pm)),
+                    ):
+                        assert np.all(dual >= pm * (1.0 - 1e-13)), (g, dbm)
 
     def test_secant_point_lies_left_of_the_root(self):
-        # the first evaluation's bound on c_g is valid after any number of
+        # every evaluation's bound on c_g is valid after any number of
         # omega Newton steps: over the series region (v < 0.1), the capped
         # start below y = 4, the fixed-point start above it and the cap
-        # _U_CAP, where the root lies beyond reach
+        # _U_CAP, where the root lies beyond reach; also from warm seeds on
+        # either side of the root, beyond the cap and at zero, which falls
+        # back to the cold start
         y = np.r_[10.0 ** np.linspace(-12.0, 8.0, 801), np.linspace(3.5, 4.5, 101), 1e305]
-        for steps in range(9):
-            u_lo, u, _ = _omega_inv_bracket(y, steps)
-            assert np.all(u_lo > 0.0), steps
-            assert all(tdma._omega(x) <= t for x, t in zip(u_lo, y)), steps
+        root = np.array([_omega_inv(t) for t in y])
+        for seed in (None, 0.5 * root, 2.0 * root, np.full_like(y, 2000.0), np.zeros_like(y)):
+            for steps in range(9):
+                u_lo, u, _ = _omega_inv_bracket(y, steps, seed)
+                assert np.all(u_lo > 0.0), steps
+                assert all(tdma._omega(x) <= t for x, t in zip(u_lo, y)), steps
 
     def test_refines_columns_the_noma_bound_leaves_loose(self):
         # clustered high-power regime: the NOMA rate is far above time sharing
