@@ -224,7 +224,10 @@ def mmf_rate_reaches(p_t: float) -> ReachTest:
     """Reach test of the max-min cancellation rate: the columns whose rate
     may reach ``floor * (1 - _REACH_RTOL)``, by :func:`_reaches`.  The rate
     increases in every gain, so on optimistic gains the test keeps every
-    column whose true gains reach that cut."""
+    column whose true gains reach that cut.  Superposition coding dominates
+    time sharing on a degraded broadcast channel, so a column it clears
+    cannot reach the cut with the shared-placement TDMA rate either, and
+    both scalar objectives use it."""
 
     def reaches(gain_matrix: np.ndarray, floor: float) -> np.ndarray:
         if floor <= 0.0:
@@ -239,28 +242,16 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
 
     Computed by :func:`_mmf_gamma_batch`, which approaches the equalized
     SINR from above, and widened by a floating-point slack, so it dominates
-    the scalar NOMA objective.  Superposition coding dominates time sharing
-    on a degraded broadcast channel, so the same bound dominates the
-    shared-placement TDMA rate; both sweeps use it with :func:`hoe_sweep`.
-
-    Given a ``floor`` (the exact value of a column known to be attainable),
-    the columns that :func:`mmf_rate_reaches` shows cannot reach
-    ``cut = floor * (1 - _REACH_RTOL)`` get ``cut`` (slacked), a valid bound
-    below the floor, and only the others are solved.
+    the scalar NOMA objective.  It solves every column it is given and
+    ignores ``floor``: :meth:`~pinchcast.seo.SweepObjective.scores` gives
+    the columns that :func:`mmf_rate_reaches` clears the cut instead.
     """
-    reaches = mmf_rate_reaches(p_t)
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
-        a = np.asarray(gain_matrix, dtype=float)
-        live = slice(None)
-        rate = np.empty(a.shape[1])
-        if floor > 0.0:
-            live = reaches(a, floor)
-            rate[:] = floor * (1.0 - _REACH_RTOL)
-        gamma = _mmf_gamma_batch(a[:, live], p_t)
+        gamma = _mmf_gamma_batch(gain_matrix, p_t)
         # log1p stays accurate for tiny SINRs; log2(1 + x) is what the scalar
         # objective computes, and it may round above log1p there
-        rate[live] = np.maximum(np.log2(1.0 + gamma), np.log1p(gamma) / math.log(2.0))
+        rate = np.maximum(np.log2(1.0 + gamma), np.log1p(gamma) / math.log(2.0))
         return rate * (1.0 + _BOUND_RTOL)
 
     return bound
@@ -346,9 +337,8 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
     """Placement (or phase) sweep objective: the max-min cancellation rate.
 
     One or two groups use :func:`closed_form_rate`, vectorized; larger
-    instances run the scalar bisection, screened by
-    :func:`mmf_rate_bound_batch`, whose cut below the floor is also their
-    reach test (:func:`mmf_rate_reaches`).
+    instances run the scalar bisection, screened by the reach test
+    :func:`mmf_rate_reaches` and then by :func:`mmf_rate_bound_batch`.
     """
     p_t = config.power_budget_w
     if num_groups <= 2:

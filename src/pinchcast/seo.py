@@ -37,8 +37,9 @@ the best exact value seen so far.  With a valid bound this selects exactly
 the same candidate as the plain sweep, whose scalar objective is the same
 scan with every bound +inf, in the element steps and the pair passes alike.
 The sweep always knows the exact value of its current state, one of the
-candidates, and hands it to the bound as a floor: a candidate shown unable
-to reach it may get a loose bound without further work.
+candidates, and hands it to the objective as a floor: a candidate its reach
+test shows unable to reach it scores a cut just below it without a bound,
+and one the bound shows unable may get a loose bound without further work.
 
 A tier before any gains are complete screens the block moves' candidates
 (:func:`_screened_select`).  The scheme objectives are monotone in every
@@ -50,11 +51,9 @@ optimistic value cannot reach the floor, and only the others get full
 gains; the incumbent always does, so the selection is unchanged.  Batch
 objectives compare their own value with the floor (:meth:`SweepObjective.monotone`);
 the NOMA rate for three or more groups runs one pass of its power
-recursion.  The shared-placement TDMA rate has no reach test: the NOMA test
-keeps almost all of its pair columns at high power, and a dual bound over
-the subset rows cost more than it saved.  Element moves, about as many
-candidates as grid points, are not screened: there the screen's fixed cost
-outweighs what it saves.
+recursion, and so does the shared-placement TDMA rate, which superposition
+coding dominates.  Element moves, about as many candidates as grid points,
+are not screened: there the screen's fixed cost outweighs what it saves.
 """
 from __future__ import annotations
 
@@ -113,8 +112,11 @@ class SweepObjective:
     ``reaches(A, floor)`` is set only for objectives that are monotone in
     every group's gain.  ``A`` holds optimistic gains, each at least the
     candidate's true gain, and the result masks the columns that may still
-    reach ``floor``; a column it clears must be strictly unable to.
-    :meth:`monotone` builds one for a batch objective.
+    reach ``floor``: a column it clears has an exact value below the cut
+    ``floor - _REACH_RTOL * |floor|`` (above ``floor + _REACH_RTOL * |floor|``
+    when minimized).  :meth:`monotone` builds one for a batch objective.
+    :func:`_screened_select` runs it on partial gains, and :meth:`scores` on
+    the full gains of a scalar ``exact``, maximized as with ``bound_batch``.
     """
 
     maximize: bool = True
@@ -146,19 +148,24 @@ class SweepObjective:
         """Scores (L,) of the candidate columns of ``A`` and the number of
         exact evaluations they took.
 
-        A batch objective scores every column exactly.  A scalar ``exact``
-        runs in descending bound order (every bound +inf without
-        ``bound_batch``) until the next bound falls below the best exact
-        value; the columns it skips keep their bounds, strictly below the
-        best.  The best score is therefore exact, and so is every score
-        that equals it.
+        A batch objective scores every column exactly.  For a scalar
+        ``exact``, given a finite ``floor``, the columns the reach test
+        clears score the cut ``floor - _REACH_RTOL * |floor|``, above their
+        exact values and below the incumbent's; ``bound_batch`` bounds the
+        others (+inf without it).  ``exact`` runs in descending score order
+        until the next score falls below the best exact value; the columns
+        it skips keep their scores, strictly below the best.  The best score
+        is therefore exact, and so is every score that equals it.
         """
         if self.exact_batch is not None:
             return np.asarray(self.exact_batch(A), dtype=float), A.shape[1]
-        if self.bound_batch is None:
-            scores = np.full(A.shape[1], math.inf)
-        else:
-            scores = np.array(self.bound_batch(A, floor), dtype=float)  # a copy: exact values go in
+        scores = np.full(A.shape[1], math.inf)
+        live = slice(None)
+        if self.reaches is not None and math.isfinite(floor):
+            live = self.reaches(A, floor)
+            scores[~live] = floor - _REACH_RTOL * abs(floor)
+        if self.bound_batch is not None:
+            scores[live] = self.bound_batch(A[:, live], floor)
         best = -math.inf
         evals = 0
         for j in np.argsort(-scores, kind="stable"):

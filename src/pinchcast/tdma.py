@@ -29,7 +29,10 @@ from . import seo
 from .channel import group_gains
 from .config import SystemConfig
 from .errors import PinchcastError
-from .noma import closed_form_rate, mmf_rate_bound_batch
+from .noma import closed_form_rate, mmf_rate_reaches
+# unused here since the shared-placement screen runs the NOMA reach test and
+# no NOMA bound; perfbench/tracing.py still wraps this name in this module
+from .noma import mmf_rate_bound_batch  # noqa: F401
 from .records import SchemeSolution
 from .seo import ScreeningBound, SweepObjective, SweepTrace, random_placement
 from .topology import Placement, Topology
@@ -259,37 +262,27 @@ _DUAL_MIN_COLS = 4
 
 
 def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
-    """Screening bound for the shared-placement rate of each gain column.
+    """Screening bound for the shared-placement rate of each gain column:
+    :func:`_frontier_dual_bound`, slacked by ``_DUAL_RTOL``.
 
-    Every column gets the max-min NOMA rate
-    (:func:`~pinchcast.noma.mmf_rate_bound_batch`; superposition coding
-    dominates time sharing), cut at ``floor``, the exact rate of the
-    sweep's incumbent.  Columns whose NOMA bound reaches the floor are
-    tightened with :func:`_frontier_dual_bound`; the others cannot be
-    selected anyway.  For the same reason the dual refines a column only
-    while its bound stays at or above the floor.  Every dual evaluation is
-    valid by construction: it bounds each slot's cost from below by the
+    ``floor`` is the exact rate of the sweep's incumbent, and the dual
+    refines a column only while its bound stays at or above it; a column
+    that falls below it cannot be selected anyway.  Every dual evaluation
+    is valid by construction: it bounds each slot's cost from below by the
     slope of 2^u's tangent at a secant point left of the root of
     omega(u) = a_g nu, so no slot exponent needs to converge.
     ``_DUAL_RTOL`` covers only the rounding of the exact rate against the
     bound's.  The dual pass costs about as much as a few exact evaluations,
-    so it is skipped when no more than ``_DUAL_MIN_COLS`` columns reach the
-    floor.
+    so no more than ``_DUAL_MIN_COLS`` columns get +inf instead, and the
+    exact stage takes them.
     """
-    noma_bound = mmf_rate_bound_batch(p_t)
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
-        a = np.asarray(gain_matrix, dtype=float)
-        b = noma_bound(a, floor)
-        cols = np.flatnonzero(b >= floor)
-        if cols.size <= _DUAL_MIN_COLS:
-            return b
+        if gain_matrix.shape[1] <= _DUAL_MIN_COLS:
+            return np.full(gain_matrix.shape[1], np.inf)
         # the floor is compared before the slack, so a column that stops
         # early still ends below the floor once slacked
-        dual = _frontier_dual_bound(a[:, cols], p_t, floor=floor / (1.0 + _DUAL_RTOL))
-        dual *= 1.0 + _DUAL_RTOL
-        b[cols] = np.fmin(b[cols], dual)
-        return b
+        return _frontier_dual_bound(gain_matrix, p_t, floor=floor / (1.0 + _DUAL_RTOL)) * (1.0 + _DUAL_RTOL)
 
     return bound
 
@@ -539,10 +532,11 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
 
     ``equal_time`` pins every slot to 1/G, whose closed-form rate is a
     vectorized objective.  Otherwise more than one group runs
-    :class:`_PmRateSolver`, screened by :func:`pm_rate_bound_batch`, with no
-    reach test on partial gains (see :mod:`pinchcast.seo`).  A lone group
-    (also each slot of the slot-switched protocol) holds the whole frame and
-    budget.
+    :class:`_PmRateSolver`, screened as NOMA's objective is: by the NOMA
+    reach test (:func:`~pinchcast.noma.mmf_rate_reaches`; superposition
+    coding dominates time sharing), on partial and on full gains, and then
+    by :func:`pm_rate_bound_batch`.  A lone group (also each slot of the
+    slot-switched protocol) holds the whole frame and budget.
     """
     p_t = config.power_budget_w
     g = num_groups
@@ -550,7 +544,9 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
         return SweepObjective.monotone(partial(_equal_slot_rate, p_t=p_t))
     if g == 1:
         return SweepObjective.monotone(partial(closed_form_rate, p_t=p_t))
-    return SweepObjective(exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t))
+    return SweepObjective(
+        exact=_PmRateSolver(p_t).rate, bound_batch=pm_rate_bound_batch(p_t), reaches=mmf_rate_reaches(p_t)
+    )
 
 
 def tdma_solution(
@@ -627,9 +623,9 @@ def solve_tdma_pm(
     """Shared-placement protocol: one placement serves every slot, optimized
     against the joint time/energy allocator (see :func:`pm_objective`).
 
-    Candidates are screened with :func:`pm_rate_bound_batch`: the max-min
-    NOMA rate, tightened by a weak-duality bound of the allocator on the
-    candidates that could still win.
+    Candidates are screened by the NOMA reach test, which drops those whose
+    max-min NOMA rate cannot reach the incumbent's rate, and then by
+    :func:`pm_rate_bound_batch`, a weak-duality bound of the allocator.
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng

@@ -7,6 +7,7 @@ package without pytest.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .noma import (
     two_group_power,
     upper_bound_batch,
 )
-from .seo import hoe_sweep, random_placement, seo_sweep
-from .tdma import equal_time_power, pm_resource_allocation, min_energy
+from .seo import _run_sweeps, hoe_sweep, random_placement, seo_sweep
+from .tdma import equal_time_power, pm_objective, pm_resource_allocation, min_energy, solve_tdma_pm
 from .tin import solve_tin, tin_power, tin_sinrs
 
 _LN2 = math.log(2.0)
@@ -128,15 +129,15 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
             return False
         if abs(plain_tr.objective[-1] - hoe_tr.objective[-1]) > 1e-12:
             return False
-        # the solver's own objective, screened against the incumbent's value,
-        # and the same objective unscreened
-        hoe = solve_noma(topo, config, placement=start)
-        objective = noma_objective(topo.num_groups, config)
-        plain_x, plain_tr = seo_sweep(start, topo, config, objective=objective.exact)
-        if not np.array_equal(hoe.placements[0], plain_x.x_m):
-            return False
-        if hoe.traces[0]["objective"] != plain_tr.objective:
-            return False
+        # the solvers' own objectives, screened by the NOMA reach test and
+        # their bounds against the incumbent's value, and the same
+        # objectives with neither
+        for solve, objective in ((solve_noma, noma_objective), (solve_tdma_pm, pm_objective)):
+            hoe = solve(topo, config, placement=start)
+            plain = replace(objective(topo.num_groups, config), bound_batch=None, reaches=None)
+            plain_x, plain_tr = _run_sweeps(start, topo, config, plain)
+            if not np.array_equal(hoe.placements[0], plain_x.x_m) or hoe.traces[0]["objective"] != plain_tr.objective:
+                return False
     return True
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,11 +27,12 @@ from pinchcast.noma import (
     _mmf_gamma,
     _mmf_gamma_batch,
     mmf_rate_bound_batch,
+    mmf_rate_reaches,
     noma_objective,
     noma_sinrs,
     noma_solution,
 )
-from pinchcast.tdma import _PmRateSolver
+from pinchcast.tdma import _PmRateSolver, pm_rate
 from pinchcast.tin import tin_placement_objective
 
 from conftest import make_topology
@@ -288,6 +290,40 @@ class TestMmfRateBound:
                 # absolute bracket of 1e-15, which dominates at tiny SINRs
                 assert np.all(bound <= noma * (1.0 + 1e-6)), (g, dbm)
 
+    def test_reach_test_keeps_every_column_that_reaches_the_cut(self):
+        # the reach contract both scalar objectives rest on: a column the
+        # test clears has a NOMA rate, and so a shared-placement TDMA rate,
+        # below floor * (1 - _REACH_RTOL).  Floors are the rates of random
+        # columns, and also half the slack above them; at -40 dBm the SNRs
+        # are 1e-6..3e-2, where the two rates agree to first order
+        rng = np.random.default_rng(24)
+
+        def clustered(rng, g, cols):
+            # each group strong near its own slice of the aperture, weak elsewhere
+            x = rng.uniform(0.0, 1.0, cols)
+            centre = (np.arange(g)[:, None] + 0.5) / g
+            return 10.0 ** (5.5 - 4.5 * np.abs(x - centre) + rng.uniform(-0.5, 0.0, (g, cols)))
+
+        cleared = 0
+        for gains in (self._gains, clustered):
+            for g in range(2, 7):
+                for dbm in np.arange(-40.0, 51.0, 10.0):
+                    p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                    A = gains(rng, g, cols=30)
+                    noma = np.array([math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t)) for c in A.T])
+                    pm = np.array([pm_rate(c, p_t) for c in A.T])
+                    reaches = mmf_rate_reaches(p_t)
+                    for rate, j in itertools.product((noma, pm), rng.choice(30, 3, replace=False)):
+                        for floor in (rate[j], rate[j] * (1.0 + 0.5 * seo._REACH_RTOL)):
+                            keep = reaches(A, floor)
+                            cut = floor * (1.0 - seo._REACH_RTOL)
+                            key = (gains.__name__, g, dbm, j, floor)
+                            assert keep[j], key
+                            assert np.all(keep[noma >= cut]), key
+                            assert np.all(keep[pm >= cut]), key
+                            cleared += np.count_nonzero(~keep)
+        assert cleared > 0
+
 
 class TestSinglePaAsymptotics:
     def test_single_group_both_regimes_agree(self):
@@ -336,7 +372,7 @@ class TestSolveNoma:
         topo = make_topology(rng, cfg, [2, 2, 2])
         s1 = solve_noma(topo, cfg, rng=np.random.default_rng(99))
         start = random_placement(cfg, np.random.default_rng(99))
-        plain = replace(noma_objective(3, cfg), bound_batch=None)
+        plain = replace(noma_objective(3, cfg), bound_batch=None, reaches=None)
         s2 = noma_solution(*seo._run_sweeps(start, topo, cfg, plain), cfg)
         assert s1.mmf_rate == pytest.approx(s2.mmf_rate, abs=1e-12)
         assert np.array_equal(s1.placements[0], s2.placements[0])

@@ -20,9 +20,9 @@ from pinchcast import (
 from pinchcast import generate_topology, seo
 from pinchcast.channel import path_terms
 from pinchcast.experiments import _solve_one
-from pinchcast.noma import _mmf_gamma, mmf_rate_bound_batch, noma_objective, upper_bound_batch
+from pinchcast.noma import mmf_rate_bound_batch, noma_objective, upper_bound_batch
 from pinchcast.seo import SweepObjective, _select
-from pinchcast.tdma import pm_rate, pm_rate_bound_batch
+from pinchcast.tdma import _DUAL_MIN_COLS, pm_objective
 from pinchcast.tin import inv_cnr_sum_batch, solve_tin, tin_objective
 
 from conftest import make_topology
@@ -259,8 +259,8 @@ class TestHoeSweep:
 
     def test_one_argument_bound_matches_the_floored_sweep(self):
         # hoe_sweep takes a one-argument bound, which never sees a floor; the
-        # floored NOMA bound selects the same placements with as many exact
-        # evaluations
+        # NOMA objective, which cuts the columns its reach test clears at the
+        # floor, selects the same placements with as many exact evaluations
         for seed in range(3):
             cfg, topo, start = self._instance(seed)
             p_t = cfg.power_budget_w
@@ -272,8 +272,7 @@ class TestHoeSweep:
                 return mmf_rate_bound_batch(p_t)(A)
 
             xh, th = hoe_sweep(start, topo, cfg, one_arg, exact)
-            floored = SweepObjective(exact=exact, bound_batch=mmf_rate_bound_batch(p_t))
-            xf, tf = seo._run_sweeps(start, topo, cfg, floored)
+            xf, tf = seo._run_sweeps(start, topo, cfg, noma_objective(topo.num_groups, cfg))
             assert len(calls) > 0
             assert np.array_equal(xh.x_m, xf.x_m)
             assert th.objective == tf.objective
@@ -281,47 +280,46 @@ class TestHoeSweep:
 
 
 class TestScreeningFloor:
-    """A screening bound given the exact value of one candidate as a floor."""
+    """A scalar objective's scores given the exact value of one candidate as
+    a floor: the reach test's cut, and the bound on the other columns."""
 
     @staticmethod
-    def _screens(p_t):
-        # (screening bound, stateless exact objective) of noma and tdma-pm
-        def noma_rate(c):
-            return math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t))
-
-        return {
-            "noma": (mmf_rate_bound_batch(p_t), noma_rate),
-            "tdma-pm": (pm_rate_bound_batch(p_t), lambda c: pm_rate(c, p_t)),
-        }
+    def _objectives(g, cfg):
+        # the scalar noma (G >= 3) and tdma-pm (G >= 2) objectives
+        if g >= 3:
+            yield "noma", noma_objective(g, cfg)
+        if g >= 2:
+            yield "tdma-pm", pm_objective(g, cfg)
 
     def test_floor_keeps_bounds_and_selections(self):
         rng = np.random.default_rng(40)
         dropped = refined = 0
-        for g in range(1, 7):
+        for g in range(2, 7):
             for dbm in np.arange(-40.0, 51.0, 10.0):
-                p_t = 10.0 ** (dbm / 10.0) / 1000.0
+                cfg = SystemConfig().with_power_dbm(float(dbm))
                 A = 10.0 ** rng.uniform(1.0, 5.5, (g, 40))
-                noma_free = mmf_rate_bound_batch(p_t)(A)
-                for name, (bound, exact) in self._screens(p_t).items():
-                    values = np.array([exact(c) for c in A.T])
-                    free = bound(A)
-                    objective = SweepObjective(exact=exact, bound_batch=bound)
+                for name, objective in self._objectives(g, cfg):
+                    values = np.array([objective.exact(c) for c in A.T])
+                    free, _ = objective.scores(A)
                     for inc_j in (int(rng.integers(A.shape[1])), int(np.argmax(values))):
                         floor = values[inc_j]
-                        floored = bound(A, floor)
+                        floored, _ = objective.scores(A, floor)
                         key = (name, g, dbm, inc_j)
                         assert np.all(floored >= values), key
-                        # columns that reach the floor keep their bounds; for
+                        # the columns the reach test clears score the cut
+                        live = objective.reaches(A, floor)
+                        assert np.all(floored[~live] == floor - seo._REACH_RTOL * abs(floor)), key
+                        dropped += np.count_nonzero(~live)
+                        # columns that reach the floor keep their scores; for
                         # tdma-pm the dual pass is skipped when no more than
-                        # _DUAL_MIN_COLS columns reach it, leaving the NOMA bound
+                        # _DUAL_MIN_COLS columns pass the reach test, and the
+                        # exact stage scores them all
                         hi = values >= floor
-                        kept = floored[hi]
-                        if name == "noma":
-                            assert np.array_equal(kept, free[hi]), key
-                        else:
-                            assert np.array_equal(kept, free[hi]) or np.array_equal(kept, noma_free[hi]), key
-                            refined += not np.array_equal(kept, noma_free[hi])
-                        dropped += np.count_nonzero(floored != free)
+                        exact_stage = name == "tdma-pm" and np.count_nonzero(live) <= _DUAL_MIN_COLS
+                        assert np.array_equal(floored[hi], (values if exact_stage else free)[hi]), key
+                        if name == "tdma-pm" and not exact_stage:
+                            # the dual stops refining a column below the floor
+                            refined += np.any(floored[live] != free[live])
                         got = _select(A, inc_j, objective, floor)
                         want = _select(A, inc_j, objective)
                         assert got[:2] == want[:2], key
@@ -432,10 +430,14 @@ class TestScreenedSelection:
     @staticmethod
     def _objectives(g):
         # tin minimizes; the lone-group (G = 1), two-group and scalar NOMA
-        # (G >= 3) rates maximize
+        # (G >= 3) rates maximize, and so does the scalar shared-placement
+        # TDMA rate (G >= 2), which the NOMA reach test screens
         yield "tin", tin_objective()
         for dbm in range(-40, 51, 10):
             yield f"noma {dbm} dBm", noma_objective(g, SystemConfig().with_power_dbm(float(dbm)))
+        if g >= 2:
+            for dbm in (-40, -10, 20, 50):
+                yield f"tdma-pm {dbm} dBm", pm_objective(g, SystemConfig().with_power_dbm(float(dbm)))
 
     def _cases(self, seed):
         rng = np.random.default_rng(seed)

@@ -280,14 +280,12 @@ class TestPmRateBound:
         return 10.0 ** (5.5 - 4.5 * np.abs(x - centre) + rng.uniform(-0.5, 0.0, (g, cols)))
 
     @staticmethod
-    def _unfloored_bound(A, p_t, floor=-math.inf):
-        # pm_rate_bound_batch with every column whose NOMA bound reaches
-        # ``floor`` refined by the dual through all of its steps
-        b = mmf_rate_bound_batch(p_t)(A)
-        cols = np.flatnonzero(b >= floor)
-        if cols.size > _DUAL_MIN_COLS:
-            b[cols] = np.fmin(b[cols], _frontier_dual_bound(A[:, cols], p_t) * (1.0 + _DUAL_RTOL))
-        return b
+    def _unfloored_bound(A, p_t):
+        # pm_rate_bound_batch with every column refined by the dual through
+        # all of its steps, whatever the floor
+        if A.shape[1] <= _DUAL_MIN_COLS:
+            return np.full(A.shape[1], np.inf)
+        return _frontier_dual_bound(A, p_t) * (1.0 + _DUAL_RTOL)
 
     def test_columns_do_not_depend_on_their_batch(self):
         # every entry steps on its own: splitting, permuting or duplicating
@@ -425,10 +423,8 @@ class TestPmRateBound:
                     pm = np.array([pm_rate(c, p_t) for c in A.T])
                     floor = pm[rng.integers(A.shape[1])]
                     bound = pm_rate_bound_batch(p_t)(A, floor)
-                    full = self._unfloored_bound(A, p_t, floor)
-                    # to rounding: a column the NOMA feasibility test drops
-                    # gets the cut, which may lie an ulp below its Newton root
-                    assert np.all(bound >= full * (1.0 - 1e-14)), (g, dbm)
+                    full = self._unfloored_bound(A, p_t)
+                    assert np.all(bound >= full), (g, dbm)
                     assert np.array_equal(bound >= pm.max(), full >= pm.max()), (g, dbm)
                     loosened += np.any(bound > full * (1.0 + 1e-12))
         assert loosened > 0  # the floor did stop some columns early
@@ -440,7 +436,7 @@ class TestPmRateBound:
         for mode, g, dbm in itertools.product(modes, (4, 5, 6), (-10.0, 30.0, 40.0)):
             cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(dbm)
             topo = generate_topology(mode, cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
-            plain = replace(pm_objective(g, cfg), bound_batch=None)
+            plain = replace(pm_objective(g, cfg), bound_batch=None, reaches=None)
             hoe = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(7))
             start = random_placement(cfg, np.random.default_rng(7))
             best, _ = seo._run_sweeps(start, topo, cfg, plain)
@@ -529,7 +525,7 @@ class TestSolveTdma:
         topo = make_topology(rng, cfg, [2, 2, 2])
         s1 = solve_tdma_pm(topo, cfg, rng=np.random.default_rng(5))
         start = random_placement(cfg, np.random.default_rng(5))
-        best, trace = seo._run_sweeps(start, topo, cfg, replace(pm_objective(3, cfg), bound_batch=None))
+        best, trace = seo._run_sweeps(start, topo, cfg, replace(pm_objective(3, cfg), bound_batch=None, reaches=None))
         s2 = tdma_solution("PM", [best], [trace], cfg)
         assert s1.mmf_rate == pytest.approx(s2.mmf_rate, abs=1e-12)
         assert np.array_equal(s1.placements[0], s2.placements[0])

@@ -169,7 +169,7 @@ class TestSolveUla:
             cfg = SystemConfig(grid_points=40, num_antennas=4).with_power_dbm(dbm)
             topo = generate_topology(mode, cfg, np.random.default_rng(seed), num_groups=g, num_users=2 * g)
             hoe = solve_ula(topo, scheme, cfg)
-            plain = replace(objectives[scheme](g, cfg), bound_batch=None)
+            plain = replace(objectives[scheme](g, cfg), bound_batch=None, reaches=None)
             phases, trace = _phase_sweep(topo, cfg, UlaConfig.from_system(cfg), plain)
             assert np.array_equal(hoe.phases, phases), (mode, dbm, scheme, g, seed)
             assert hoe.mmf_rate == trace.objective[-1]
