@@ -232,7 +232,10 @@ def mmf_rate_reaches(p_t: float) -> ReachTest:
     def reaches(gain_matrix: np.ndarray, floor: float) -> np.ndarray:
         if floor <= 0.0:
             return np.ones(gain_matrix.shape[1], dtype=bool)
-        return _reaches(gain_matrix, p_t, math.expm1(floor * (1.0 - _REACH_RTOL) * math.log(2.0)))
+        # the scalar rate log2(1 + gamma) rounds 1 + gamma, up to 2^-53 / ln2
+        # above the true rate: beyond the relative slack at SINRs below 1e-7
+        cut = floor * (1.0 - _REACH_RTOL) - 2.0**-51
+        return _reaches(gain_matrix, p_t, math.expm1(cut * math.log(2.0)))
 
     return reaches
 
@@ -243,8 +246,8 @@ def mmf_rate_bound_batch(p_t: float) -> ScreeningBound:
     Computed by :func:`_mmf_gamma_batch`, which approaches the equalized
     SINR from above, and widened by a floating-point slack, so it dominates
     the scalar NOMA objective.  It solves every column it is given and
-    ignores ``floor``: :meth:`~pinchcast.seo.SweepObjective.scores` gives
-    the columns that :func:`mmf_rate_reaches` clears the cut instead.
+    ignores ``floor``: :meth:`~pinchcast.seo.SweepObjective.scores` cuts
+    the columns :func:`mmf_rate_reaches` clears and decides when it runs.
     """
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
@@ -338,7 +341,8 @@ def noma_objective(num_groups: int, config: SystemConfig) -> SweepObjective:
 
     One or two groups use :func:`closed_form_rate`, vectorized; larger
     instances run the scalar bisection, screened by the reach test
-    :func:`mmf_rate_reaches` and then by :func:`mmf_rate_bound_batch`.
+    :func:`mmf_rate_reaches` and then by :func:`mmf_rate_bound_batch` (on
+    more than ``seo._BOUND_MIN_COLS`` live columns).
     """
     p_t = config.power_budget_w
     if num_groups <= 2:
@@ -387,9 +391,7 @@ def solve_noma(
     """Joint placement and power optimization under cancellation decoding.
 
     The decoding order is recomputed for every candidate placement; see
-    :func:`noma_objective` for the sweep objective.  Screening with the
-    equalized SINR solved over all candidates at once means the scalar
-    solver runs only on candidates within floating-point slack of the best.
+    :func:`noma_objective` for the sweep objective and its screens.
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng

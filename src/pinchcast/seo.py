@@ -25,13 +25,14 @@ placement.  Scalar objectives map a (G,) gain vector to a float; batch
 objectives map the full (G, L) candidate-gain matrix to an (L,) value vector
 and enable fully vectorized sweeps for cheap objectives.  A
 :class:`SweepObjective` bundles the direction, the exact objective and an
-optional screening bound; each scheme module builds its own once.
+optional screening bound; each scheme module builds its own once,
+supplying only arithmetic, and this module decides where each screen runs.
 
 Every selection is one rule (:func:`_select`): the objective scores the
 candidate columns (:meth:`SweepObjective.scores`), the best score wins, the
 lowest column among equals, and the incumbent stays when its score equals
 the best.  ``hoe_sweep`` adds hierarchical objective evaluation: a cheap
-per-candidate upper bound scores all candidates first, and the exact
+per-candidate upper bound scores the candidates first, and the exact
 objective runs in descending bound order only while the next bound reaches
 the best exact value seen so far.  With a valid bound this selects exactly
 the same candidate as the plain sweep, whose scalar objective is the same
@@ -40,6 +41,8 @@ The sweep always knows the exact value of its current state, one of the
 candidates, and hands it to the objective as a floor: a candidate its reach
 test shows unable to reach it scores a cut just below it without a bound,
 and one the bound shows unable may get a loose bound without further work.
+A bound runs only on more than ``_BOUND_MIN_COLS`` live candidates; the
+exact stage, which always scores the best of them, takes fewer directly.
 
 A tier before any gains are complete screens the block moves' candidates
 (:func:`_screened_select`).  The scheme objectives are monotone in every
@@ -78,6 +81,7 @@ Moves = Callable[[], Generator[tuple["CandidateSet", int | None], int, None]]
 # screening cut, well above the rounding-level drift of that value between
 # two evaluations
 _REACH_RTOL = 1e-9
+_BOUND_MIN_COLS = 4  # live columns up to which no screening bound runs
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class SweepObjective:
     candidate.  ``floor`` is the exact value of one of the candidates (-inf
     when none is known); a candidate that provably cannot reach it may get
     any valid bound below it.  :meth:`scores` is the one way a sweep ranks
-    candidates, whichever fields are set.
+    candidates, whichever fields are set, and picks the columns to bound.
 
     ``reaches(A, floor)`` is set only for objectives that are monotone in
     every group's gain.  ``A`` holds optimistic gains, each at least the
@@ -151,11 +155,12 @@ class SweepObjective:
         A batch objective scores every column exactly.  For a scalar
         ``exact``, given a finite ``floor``, the columns the reach test
         clears score the cut ``floor - _REACH_RTOL * |floor|``, above their
-        exact values and below the incumbent's; ``bound_batch`` bounds the
-        others (+inf without it).  ``exact`` runs in descending score order
-        until the next score falls below the best exact value; the columns
-        it skips keep their scores, strictly below the best.  The best score
-        is therefore exact, and so is every score that equals it.
+        exact values and below the incumbent's; the others score +inf, or
+        their ``bound_batch`` when more than ``_BOUND_MIN_COLS`` are left.
+        ``exact`` runs in descending score order until the next score falls
+        below the best exact value; the columns it skips keep their scores,
+        strictly below the best.  The best score is therefore exact, and so
+        is every score that equals it.
         """
         if self.exact_batch is not None:
             return np.asarray(self.exact_batch(A), dtype=float), A.shape[1]
@@ -164,7 +169,7 @@ class SweepObjective:
         if self.reaches is not None and math.isfinite(floor):
             live = self.reaches(A, floor)
             scores[~live] = floor - _REACH_RTOL * abs(floor)
-        if self.bound_batch is not None:
+        if self.bound_batch is not None and scores[live].size > _BOUND_MIN_COLS:
             scores[live] = self.bound_batch(A[:, live], floor)
         best = -math.inf
         evals = 0
@@ -578,9 +583,9 @@ def hoe_sweep(
     ``upper_bound`` maps a candidate-gain matrix (G, L) to per-candidate
     bounds that must dominate ``exact`` on every candidate, the position
     pairs of the pair passes included.  The exact objective is only evaluated
-    for candidates whose bound reaches the best exact value seen so far; the
-    returned placement and objective are identical to :func:`seo_sweep` with
-    ``exact`` alone.
+    for candidates whose bound reaches the best exact value seen so far (on
+    all of them, unbounded, if there are at most ``_BOUND_MIN_COLS``); the
+    returned placement and objective equal :func:`seo_sweep`'s with ``exact``.
     """
     return _run_sweeps(
         placement, topology, config,

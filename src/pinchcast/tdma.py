@@ -258,7 +258,6 @@ def _frontier_dual_bound(
 # relative slack covering the exact rate's rounding (_frontier) against the
 # bound's; every dual evaluation is a valid bound by construction
 _DUAL_RTOL = 1e-10
-_DUAL_MIN_COLS = 4
 
 
 def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
@@ -268,18 +267,13 @@ def pm_rate_bound_batch(p_t: float) -> ScreeningBound:
     ``floor`` is the exact rate of the sweep's incumbent, and the dual
     refines a column only while its bound stays at or above it; a column
     that falls below it cannot be selected anyway.  Every dual evaluation
-    is valid by construction: it bounds each slot's cost from below by the
-    slope of 2^u's tangent at a secant point left of the root of
-    omega(u) = a_g nu, so no slot exponent needs to converge.
+    is valid by construction (:func:`_frontier_dual_bound`), so
     ``_DUAL_RTOL`` covers only the rounding of the exact rate against the
-    bound's.  The dual pass costs about as much as a few exact evaluations,
-    so no more than ``_DUAL_MIN_COLS`` columns get +inf instead, and the
-    exact stage takes them.
+    bound's.  It bounds every column it is given;
+    :meth:`~pinchcast.seo.SweepObjective.scores` decides which those are.
     """
 
     def bound(gain_matrix: np.ndarray, floor: float = -math.inf) -> np.ndarray:
-        if gain_matrix.shape[1] <= _DUAL_MIN_COLS:
-            return np.full(gain_matrix.shape[1], np.inf)
         # the floor is compared before the slack, so a column that stops
         # early still ends below the floor once slacked
         return _frontier_dual_bound(gain_matrix, p_t, floor=floor / (1.0 + _DUAL_RTOL)) * (1.0 + _DUAL_RTOL)
@@ -534,8 +528,9 @@ def pm_objective(num_groups: int, config: SystemConfig, *, equal_time: bool = Fa
     vectorized objective.  Otherwise more than one group runs
     :class:`_PmRateSolver`, screened as NOMA's objective is: by the NOMA
     reach test (:func:`~pinchcast.noma.mmf_rate_reaches`; superposition
-    coding dominates time sharing), on partial and on full gains, and then
-    by :func:`pm_rate_bound_batch`.  A lone group (also each slot of the
+    coding dominates time sharing), on partial and on full gains, and then,
+    on more than ``seo._BOUND_MIN_COLS`` live columns, by
+    :func:`pm_rate_bound_batch`.  A lone group (also each slot of the
     slot-switched protocol) holds the whole frame and budget.
     """
     p_t = config.power_budget_w
@@ -621,11 +616,8 @@ def solve_tdma_pm(
     equal_time: bool = False,
 ) -> SchemeSolution:
     """Shared-placement protocol: one placement serves every slot, optimized
-    against the joint time/energy allocator (see :func:`pm_objective`).
-
-    Candidates are screened by the NOMA reach test, which drops those whose
-    max-min NOMA rate cannot reach the incumbent's rate, and then by
-    :func:`pm_rate_bound_batch`, a weak-duality bound of the allocator.
+    against the joint time/energy allocator (see :func:`pm_objective` for
+    the sweep objective and its screens).
     """
     if placement is None:
         rng = np.random.default_rng() if rng is None else rng

@@ -14,6 +14,8 @@ import numpy as np
 from .config import SystemConfig
 from .experiments import generate_topology
 from .noma import (
+    mmf_rate_bound_batch,
+    mmf_rate_reaches,
     noma_mmf_bisection,
     noma_objective,
     recursive_power,
@@ -22,8 +24,16 @@ from .noma import (
     two_group_power,
     upper_bound_batch,
 )
-from .seo import _run_sweeps, hoe_sweep, random_placement, seo_sweep
-from .tdma import equal_time_power, pm_objective, pm_resource_allocation, min_energy, solve_tdma_pm
+from .seo import _REACH_RTOL, _run_sweeps, hoe_sweep, random_placement, seo_sweep
+from .tdma import (
+    equal_time_power,
+    min_energy,
+    pm_objective,
+    pm_rate,
+    pm_rate_bound_batch,
+    pm_resource_allocation,
+    solve_tdma_pm,
+)
 from .tin import solve_tin, tin_power, tin_sinrs
 
 _LN2 = math.log(2.0)
@@ -141,6 +151,45 @@ def _check_hoe_equivalence(rng: np.random.Generator) -> bool:
     return True
 
 
+def _screening_cases(rng: np.random.Generator):
+    # (p_t, gain columns, NOMA rates, shared-placement TDMA rates) over
+    # G = 2..6, gains 1e-2..1e8 and -40 / -10 / 20 / 50 dBm, beyond the
+    # presets' range on both sides
+    for g in range(2, 7):
+        for dbm in (-40.0, -10.0, 20.0, 50.0):
+            p_t = 10.0 ** (dbm / 10.0) / 1000.0
+            A = 10.0 ** rng.uniform(-2.0, 8.0, (g, 40))
+            noma = np.array([math.log2(1.0 + noma_mmf_bisection(c, p_t)[0]) for c in A.T])
+            yield p_t, A, noma, np.array([pm_rate(c, p_t) for c in A.T])
+
+
+def _check_pm_bound(rng: np.random.Generator) -> bool:
+    # every column the dual bounds directly, with no floor to stop it early
+    return all(np.all(pm_rate_bound_batch(p_t)(A) >= pm) for p_t, A, _, pm in _screening_cases(rng))
+
+
+def _check_noma_bound(rng: np.random.Generator) -> bool:
+    return all(np.all(mmf_rate_bound_batch(p_t)(A) >= noma) for p_t, A, noma, _ in _screening_cases(rng))
+
+
+def _check_reach_contract(rng: np.random.Generator) -> bool:
+    # a column the reach test clears has a NOMA and a TDMA-PM rate below
+    # floor * (1 - _REACH_RTOL); floors at exact rates and half the slack
+    # above them, where a slack cut short clears the floor's own column
+    cleared = 0
+    for p_t, A, noma, pm in _screening_cases(rng):
+        reaches = mmf_rate_reaches(p_t)
+        for rate in (noma, pm):
+            for j in rng.choice(A.shape[1], 3, replace=False):
+                for floor in (rate[j], rate[j] * (1.0 + 0.5 * _REACH_RTOL)):
+                    keep = reaches(A, floor)
+                    cut = floor * (1.0 - _REACH_RTOL)
+                    if not (keep[j] and np.all(keep[noma >= cut]) and np.all(keep[pm >= cut])):
+                        return False
+                    cleared += np.count_nonzero(~keep)
+    return cleared > 0
+
+
 def _check_tin_screen(rng: np.random.Generator) -> bool:
     # solve_tin screens pair columns on each group's weakest incumbent user;
     # a scalar inverse-CNR sweep scores every column on full gains
@@ -166,6 +215,9 @@ CHECKS = [
     ("slot energy formula handles edge cases", lambda rng: _check_min_energy()),
     ("screened sweep matches the plain sweep", _check_hoe_equivalence),
     ("screened tin sweep matches the plain scalar sweep", _check_tin_screen),
+    ("tdma-pm dual bound dominates the exact rate", _check_pm_bound),
+    ("noma screening bound dominates the scalar rate", _check_noma_bound),
+    ("noma reach test keeps every column that reaches the cut", _check_reach_contract),
 ]
 
 

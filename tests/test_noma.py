@@ -324,6 +324,20 @@ class TestMmfRateBound:
                             cleared += np.count_nonzero(~keep)
         assert cleared > 0
 
+    def test_reach_test_keeps_the_cut_at_tiny_sinrs(self):
+        # below SINRs of about 1e-7 the scalar rate log2(1 + gamma), which
+        # rounds 1 + gamma, lies above the true rate by more than
+        # _REACH_RTOL of itself; the floor's column and every column that
+        # reaches the cut must still be kept
+        rng = np.random.default_rng(26)
+        p_t = 1e-7  # -40 dBm
+        for g in range(2, 7):
+            A = 10.0 ** rng.uniform(-2.0, 0.0, (g, 100))
+            noma = np.array([math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t)) for c in A.T])
+            for j in range(A.shape[1]):
+                keep = mmf_rate_reaches(p_t)(A, noma[j])
+                assert np.all(keep[noma >= noma[j] * (1.0 - seo._REACH_RTOL)]), (g, j)
+
 
 class TestSinglePaAsymptotics:
     def test_single_group_both_regimes_agree(self):

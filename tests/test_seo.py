@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pinchcast.channel import path_terms
 from pinchcast.experiments import _solve_one
 from pinchcast.noma import mmf_rate_bound_batch, noma_objective, upper_bound_batch
 from pinchcast.seo import SweepObjective, _select
-from pinchcast.tdma import _DUAL_MIN_COLS, pm_objective
+from pinchcast.tdma import pm_objective
 from pinchcast.tin import inv_cnr_sum_batch, solve_tin, tin_objective
 
 from conftest import make_topology
@@ -257,10 +258,12 @@ class TestHoeSweep:
         assert 0.0 < trace.retention < 1.0
         assert trace.stage2_evals <= trace.total_candidates
 
-    def test_one_argument_bound_matches_the_floored_sweep(self):
+    def test_one_argument_bound_matches_the_floored_sweep(self, monkeypatch):
         # hoe_sweep takes a one-argument bound, which never sees a floor; the
         # NOMA objective, which cuts the columns its reach test clears at the
         # floor, selects the same placements with as many exact evaluations
+        # when both bounds run on every live set, as many as the floor leaves
+        monkeypatch.setattr(seo, "_BOUND_MIN_COLS", 0)
         for seed in range(3):
             cfg, topo, start = self._instance(seed)
             p_t = cfg.power_budget_w
@@ -291,7 +294,10 @@ class TestScreeningFloor:
         if g >= 2:
             yield "tdma-pm", pm_objective(g, cfg)
 
-    def test_floor_keeps_bounds_and_selections(self):
+    def test_floor_keeps_bounds_and_selections(self, monkeypatch):
+        # the floor's cut alone: the bound runs on every live set, however
+        # small (test_small_live_sets_go_to_the_exact_stage covers the rule)
+        monkeypatch.setattr(seo, "_BOUND_MIN_COLS", 0)
         rng = np.random.default_rng(40)
         dropped = refined = 0
         for g in range(2, 7):
@@ -310,14 +316,10 @@ class TestScreeningFloor:
                         live = objective.reaches(A, floor)
                         assert np.all(floored[~live] == floor - seo._REACH_RTOL * abs(floor)), key
                         dropped += np.count_nonzero(~live)
-                        # columns that reach the floor keep their scores; for
-                        # tdma-pm the dual pass is skipped when no more than
-                        # _DUAL_MIN_COLS columns pass the reach test, and the
-                        # exact stage scores them all
+                        # columns that reach the floor keep their scores
                         hi = values >= floor
-                        exact_stage = name == "tdma-pm" and np.count_nonzero(live) <= _DUAL_MIN_COLS
-                        assert np.array_equal(floored[hi], (values if exact_stage else free)[hi]), key
-                        if name == "tdma-pm" and not exact_stage:
+                        assert np.array_equal(floored[hi], free[hi]), key
+                        if name == "tdma-pm":
                             # the dual stops refining a column below the floor
                             refined += np.any(floored[live] != free[live])
                         got = _select(A, inc_j, objective, floor)
@@ -327,6 +329,63 @@ class TestScreeningFloor:
                             assert got[2] == want[2], key
         assert dropped > 0  # the floor did drop columns
         assert refined > 0  # and tdma-pm's dual refined at a floor
+
+    def test_small_live_sets_go_to_the_exact_stage(self, monkeypatch):
+        # scores runs no bound on _BOUND_MIN_COLS or fewer live columns: a
+        # counting wrapper never sees such a set, the exact stage scores
+        # every live column, and each selection (column, value, gains) is
+        # the one made with the bound run on every live set
+        def counted(objective, seen):
+            def bound(A, floor):
+                seen.append(A.shape[1])
+                return objective.bound_batch(A, floor)
+
+            return replace(objective, bound_batch=bound)
+
+        def pinned(f, *args):
+            with monkeypatch.context() as m:
+                m.setattr(seo, "_BOUND_MIN_COLS", 0)
+                return f(*args)
+
+        rng = np.random.default_rng(42)
+        seen = []
+        cases = set()  # (objective, whether the bound was skipped)
+        for g in range(2, 7):
+            for dbm in np.arange(-40.0, 51.0, 10.0):
+                cfg = SystemConfig().with_power_dbm(float(dbm))
+                A = 10.0 ** rng.uniform(1.0, 5.5, (g, 40))
+                for name, objective in self._objectives(g, cfg):
+                    counting = counted(objective, seen)
+                    values = np.array([objective.exact(c) for c in A.T])
+                    for inc_j in (int(rng.integers(A.shape[1])), int(np.argmax(values))):
+                        floor = values[inc_j]
+                        key = (name, g, dbm, inc_j)
+                        live = objective.reaches(A, floor)
+                        calls = len(seen)
+                        scores, evals = counting.scores(A, floor)
+                        skip = np.count_nonzero(live) <= seo._BOUND_MIN_COLS
+                        cases.add((name, skip))
+                        assert len(seen) == calls + (not skip), key
+                        if skip:
+                            assert np.array_equal(scores[live], values[live]), key
+                            assert evals == np.count_nonzero(live), key
+                        got = _select(A, inc_j, counting, floor)
+                        assert got[:2] == pinned(_select, A, inc_j, objective, floor)[:2], key
+        # whole sweeps, whose traces keep the gains of the last selection
+        for g, dbm in itertools.product((3, 5), (-40.0, -10.0, 30.0, 50.0)):
+            cfg = SystemConfig(grid_points=30, num_antennas=3).with_power_dbm(dbm)
+            topo = generate_topology("heterogeneous_clusters", cfg, np.random.default_rng(g), num_groups=g, num_users=2 * g)
+            start = random_placement(cfg, np.random.default_rng(int(dbm) + 50))
+            for name, objective in self._objectives(g, cfg):
+                key = (name, g, dbm)
+                got_x, got = seo._run_sweeps(start, topo, cfg, counted(objective, seen))
+                want_x, want = pinned(seo._run_sweeps, start, topo, cfg, objective)
+                assert np.array_equal(got_x.x_m, want_x.x_m), key
+                assert got.objective == want.objective, key
+                assert np.array_equal(got.gains, want.gains), key
+                assert got.stage2_evals >= want.stage2_evals, key
+        assert min(seen) > seo._BOUND_MIN_COLS
+        assert cases == set(itertools.product(("noma", "tdma-pm"), (False, True)))
 
 
 class TestSelectionRule:

@@ -26,7 +26,6 @@ from pinchcast import seo, tdma
 from pinchcast.noma import mmf_rate_bound_batch
 from pinchcast.seo import seo_sweep
 from pinchcast.tdma import (
-    _DUAL_MIN_COLS,
     _DUAL_RTOL,
     _frontier_dual_bound,
     _FIRST_NEWTON_STEPS,
@@ -283,8 +282,6 @@ class TestPmRateBound:
     def _unfloored_bound(A, p_t):
         # pm_rate_bound_batch with every column refined by the dual through
         # all of its steps, whatever the floor
-        if A.shape[1] <= _DUAL_MIN_COLS:
-            return np.full(A.shape[1], np.inf)
         return _frontier_dual_bound(A, p_t) * (1.0 + _DUAL_RTOL)
 
     def test_columns_do_not_depend_on_their_batch(self):
