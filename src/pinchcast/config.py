@@ -65,6 +65,9 @@ class SystemConfig:
         self._check()
 
     def _check(self) -> None:
+        for f in fields(self):
+            if f.type != "int" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         checks = [
             (self.waveguide_length_m > 0, "waveguide_length_m must be > 0"),
             (self.region_depth_m > 0, "region_depth_m must be > 0"),

@@ -1,9 +1,10 @@
 """Sequential element-wise optimization over a discretized aperture.
 
 One antenna coordinate is re-optimized at a time by a 1-D search over the
-candidate grid, holding the others fixed.  Candidate channels are evaluated
-incrementally: the contribution of the fixed antennas is computed once per
-element and only the moving antenna's path term varies across candidates.
+candidate grid, holding the others fixed.  Every path term comes from one
+table per search, and the state is the table column each antenna holds: a
+move gathers the fixed antennas' columns once, and only the moving antenna's
+column varies across candidates.
 
 Element-wise search stops at coordinate-wise optima, and with a grid step
 many wavelengths long the placement landscape has many of them.  Whenever the
@@ -230,12 +231,12 @@ def feasible_candidates(
     x = placement.x_m
     if not 0 <= n < x.size:
         raise IndexError(f"antenna index {n} out of range for {x.size} antennas")
-    return grid.points[_feasible_mask(grid.points, x, n, config.min_spacing_m)[0]]
+    return grid.points[_feasible_mask(grid.points, x, n, config.min_spacing_m)]
 
 
-def _feasible_mask(points: np.ndarray, x: np.ndarray, n: int, min_spacing_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the ``points`` open to antenna ``n`` of ``x``, and the other
-    antennas; raises InfeasiblePlacementError when the mask is empty."""
+def _feasible_mask(points: np.ndarray, x: np.ndarray, n: int, min_spacing_m: float) -> np.ndarray:
+    """Mask of the ``points`` open to antenna ``n`` of ``x``; raises
+    InfeasiblePlacementError when it is empty."""
     others = np.delete(x, n)
     mask = spacing_mask(points, others, min_spacing_m)
     if not mask.any():
@@ -243,7 +244,7 @@ def _feasible_mask(points: np.ndarray, x: np.ndarray, n: int, min_spacing_m: flo
             f"no grid candidate keeps {min_spacing_m:.6g} m spacing for antenna {n} "
             f"(others at {np.array2string(others, precision=4)})"
         )
-    return mask, others
+    return mask
 
 
 def random_placement(
@@ -486,57 +487,55 @@ def _run_sweeps(
     config: SystemConfig,
     objective: SweepObjective,
 ) -> tuple[Placement, SweepTrace]:
-    """Placement search: :func:`_sweep` over grid points, pair passes as block moves."""
+    """Placement search: :func:`_sweep` over grid points, pair passes as block moves.
+
+    ``path_terms`` runs once, over the grid points and then the start
+    positions.  The state ``col`` holds each antenna's column of that table,
+    its own start column while it is off the grid."""
     placement.validate(config)
-    x = placement.x_m.astype(float).copy()
-    n = x.size
+    n = placement.num_antennas
     grid = CandidateGrid.from_config(config)
     order, spans = group_layout(topology)
-    users = topology.user_xyz_m[order]
     noise = topology.noise_w[order]
-    grid_terms = path_terms(grid.points, users, config)  # (K, L)
+    pos = np.concatenate([grid.points, placement.x_m])
+    terms = path_terms(pos, topology.user_xyz_m[order], config)  # (K, L + N)
+    col = (pos[:, None] == placement.x_m).argmax(axis=0)  # a grid column where one matches
     spacing = config.min_spacing_m
-
-    def fixed_sum(others: np.ndarray) -> np.ndarray:
-        if others.size:
-            return path_terms(others, users, config).sum(axis=1)
-        return np.zeros(users.shape[0], dtype=complex)
 
     def element_moves():
         for i in range(n):
-            mask, others = _feasible_mask(grid.points, x, i, spacing)
-            q = np.flatnonzero(mask)
-            h_bar = fixed_sum(others)[:, None]
+            q = np.flatnonzero(_feasible_mask(grid.points, pos[col], i, spacing))
+            h_bar = terms.take(np.delete(col, i), axis=1).sum(axis=1)[:, None]
             c = CandidateSet(h_bar.real, h_bar.imag, t_re, t_im, np.zeros(q.size, dtype=np.intp), q, den)
-            j = yield c, _first_true(grid.points[q] == x[i])
-            x[i] = grid.points[q[j]]
-        x.sort()
+            j = yield c, _first_true(q == col[i])
+            col[i] = q[j]
+        col.sort()  # every antenna is on the grid now: index order is position order
 
     def pair_moves():
         # block move of each pair of neighbours (in sorted order) over every
         # feasible pair of grid points; only strict improvements move them
         for i in range(n - 1):
-            others = np.delete(x, [i, i + 1])
-            feasible = spacing_mask(grid.points, others, spacing)
+            others = np.delete(col, [i, i + 1])
+            feasible = spacing_mask(grid.points, pos[others], spacing)
             keep = feasible[pair_p] & feasible[pair_q]
             p, q = pair_p[keep], pair_q[keep]
-            inc_j = _first_true((grid.points[p] == x[i]) & (grid.points[q] == x[i + 1]))
-            h_bar = fixed_sum(others)
+            inc_j = _first_true((p == col[i]) & (q == col[i + 1]))
+            h_bar = terms.take(others, axis=1).sum(axis=1)
             c = CandidateSet(h_bar.real[:, None] + t_re, h_bar.imag[:, None] + t_im, t_re, t_im, p, q, den)
             j = yield c, inc_j
             if j != inc_j:
-                x[i], x[i + 1] = grid.points[p[j]], grid.points[q[j]]
-                x.sort()
+                col[i], col[i + 1] = p[j], q[j]
+                col.sort()
 
-    t_re = np.ascontiguousarray(grid_terms.real)
-    t_im = np.ascontiguousarray(grid_terms.imag)
+    t_re = np.ascontiguousarray(terms.real[:, : grid.num_points])
+    t_im = np.ascontiguousarray(terms.imag[:, : grid.num_points])
     den = n * noise[:, None]
     if n > 1:
         pair_p, pair_q = _pair_columns(grid.points, spacing)
 
-    start = _gains_of(path_terms(x, users, config).sum(axis=1), noise, n, spans)
+    start = _gains_of(terms.take(col, axis=1).sum(axis=1), noise, n, spans)
     trace = _sweep(start, objective, config, spans, element_moves, pair_moves if n > 1 else None)
-    return Placement(x_m=x), trace
+    return Placement(x_m=pos[col]), trace
 
 
 def seo_sweep(

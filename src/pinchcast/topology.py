@@ -40,8 +40,10 @@ class Topology:
         k = xyz.shape[0]
         if self.noise_w.shape != (k,):
             raise TopologyError(f"noise_w must have shape ({k},), got {self.noise_w.shape}")
-        if np.any(self.noise_w <= 0):
-            raise TopologyError("noise_w must be positive for every user")
+        if not np.all(np.isfinite(xyz)):
+            raise TopologyError("user coordinates must be finite")
+        if not np.all((self.noise_w > 0) & np.isfinite(self.noise_w)):
+            raise TopologyError("noise_w must be positive and finite for every user")
         if np.any(xyz[:, 2] != 0.0):
             raise TopologyError("users must lie on the ground plane (z = 0)")
         seen: list[int] = []
@@ -83,6 +85,8 @@ class Placement:
         arr = np.atleast_1d(np.asarray(self.x_m, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise PlacementError(f"x_m must be a nonempty 1-D array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise PlacementError(f"x_m must be finite, got {arr}")
         arr = _frozen_array(np.sort(arr))
         object.__setattr__(self, "x_m", arr)
 

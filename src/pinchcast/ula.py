@@ -24,7 +24,7 @@ from .config import SystemConfig
 from .errors import PinchcastError
 from .noma import noma_objective, noma_solution
 from .records import SchemeSolution
-from .seo import CandidateSet, SweepObjective, SweepTrace, _first_true, _gains_of, _sweep, group_layout
+from .seo import CandidateSet, SweepObjective, SweepTrace, _gains_of, _sweep, group_layout
 from .tdma import pm_objective, tdma_solution
 from .tin import tin_objective, tin_solution
 from .topology import Placement, Topology
@@ -77,9 +77,11 @@ def _phase_sweep(
     topology: Topology, config: SystemConfig, ula: UlaConfig, objective: SweepObjective
 ) -> tuple[np.ndarray, SweepTrace]:
     """Element-wise search over each element's codebook phase, every phase
-    starting at zero: one move per element, no block moves."""
+    starting at zero: one move per element, no block moves.  Every element's
+    term at every level is computed once, and the state ``level`` holds each
+    element's codebook index."""
     n = ula.num_elements
-    phases = np.zeros(n)
+    level = np.zeros(n, dtype=np.intp)
     order, spans = group_layout(topology)
     elem = free_space_terms(ula.positions(), topology.user_xyz_m, config)[order]  # (K, N), group by group
     codebook = ula.codebook()
@@ -92,15 +94,14 @@ def _phase_sweep(
 
     def element_moves():
         for i in range(n):
-            w = np.exp(1j * phases)
+            w = np.exp(1j * codebook[level])
             w[i] = 0.0
             h_bar = (elem * w[None, :]).sum(axis=1)[:, None]
             c = CandidateSet(h_bar.real, h_bar.imag, t_re[i], t_im[i], base, levels, den)
-            j = yield c, _first_true(codebook == phases[i])
-            phases[i] = codebook[j]
+            level[i] = yield c, level[i]
 
     trace = _sweep(_gains_of(elem.sum(axis=1), noise, n, spans), objective, config, spans, element_moves)
-    return phases, trace
+    return codebook[level], trace
 
 
 def solve_ula(

@@ -465,12 +465,13 @@ class TestCli:
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"max_outer_iters": 2.5}),
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"grid_points": 40.5}),
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "power_budget_dbm: abc\n"),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "waveguide_length_m: .inf\n"),
         ],
         ids=[
             "unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values",
             "string-trials", "missing-config-file", "missing-spec-file", "malformed-yaml",
             "string-grid-points", "string-carrier", "fractional-sweep-cap", "fractional-grid-points",
-            "string-power-alias",
+            "string-power-alias", "infinite-length",
         ],
     )
     def test_input_errors_end_in_one_line(self, tmp_path, spec, config):
@@ -489,7 +490,8 @@ class TestCli:
         "case",
         [
             "missing-topology", "malformed-topology", "undecodable-topology", "missing-out-dir",
-            "flat-group", "string-coordinate", "scalar-groups", "string-noise",
+            "flat-group", "string-coordinate", "scalar-groups", "string-noise", "nan-coordinate",
+            "inf-coordinate", "nan-noise", "inf-noise",
         ],
     )
     def test_solve_input_errors_end_in_one_line(self, tmp_path, case):
@@ -501,6 +503,10 @@ class TestCli:
             "string-coordinate": b"groups:\n  - [[abc, 2.0]]\n",
             "scalar-groups": b"groups: 5\n",
             "string-noise": b"groups:\n  - [[2.0, 1.0]]\nnoise_dbm: loud\n",
+            "nan-coordinate": b"groups:\n  - [[.nan, 1.0]]\n",
+            "inf-coordinate": b"groups:\n  - [[.inf, 1.0]]\n",
+            "nan-noise": b"groups:\n  - [[2.0, 1.0]]\nnoise_dbm: .nan\n",
+            "inf-noise": b"groups:\n  - [[2.0, 1.0, .inf]]\n",
         }.get(case)
         topo_path, cfg_path = tmp_path / "topo.yaml", tmp_path / "cfg.yaml"
         cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 20\nnum_antennas: 2\n")

@@ -9,6 +9,7 @@ from pinchcast import (
     CandidateGrid,
     InfeasiblePlacementError,
     Placement,
+    PlacementError,
     SystemConfig,
     Topology,
     feasible_candidates,
@@ -192,6 +193,55 @@ class TestSeoSweep:
             seo_sweep(start, topo, small_config, mode="sideways", objective=lambda a: 0.0)
         with pytest.raises(ValueError):
             seo_sweep(start, topo, small_config)
+
+
+class TestTermTable:
+    """The placement search computes every path term once and keeps its
+    state as table columns, off-grid start positions included."""
+
+    OFF_GRID = [0.05, 3.33, 6.71, 9.87]
+
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["on-grid", "off-grid"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_path_terms_runs_once_per_search(self, small_config, monkeypatch, n, on_grid):
+        rng = np.random.default_rng(n)
+        topo = make_topology(rng, small_config, [2, 3])
+        start = random_placement(small_config, rng, n_antennas=n) if on_grid else Placement(x_m=self.OFF_GRID[:n])
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return path_terms(*args)
+
+        monkeypatch.setattr(seo, "path_terms", counted)
+        best, _ = seo._run_sweeps(start, topo, small_config, tin_objective())
+        assert calls == [small_config.grid_points + n]
+        assert np.all(np.isin(best.x_m, CandidateGrid.from_config(small_config).points))
+
+    def test_off_grid_start_takes_the_lowest_open_points(self, small_config):
+        # a constant objective ties every candidate: with no incumbent on the
+        # first pass each antenna takes its lowest open grid point, and the
+        # pair pass that follows keeps every incumbent
+        rng = np.random.default_rng(3)
+        topo = make_topology(rng, small_config, [2, 2])
+        start = Placement(x_m=self.OFF_GRID)
+        best, trace = seo_sweep(start, topo, small_config, objective_batch=lambda A: np.zeros(A.shape[1]))
+        assert np.array_equal(best.x_m, CandidateGrid.from_config(small_config).points[:4])
+        assert trace.sweeps == 1 and trace.converged
+
+    def test_objective_trace_matches_group_gains(self, small_config):
+        rng = np.random.default_rng(5)
+        topo = make_topology(rng, small_config, [2, 3])
+        start = Placement(x_m=self.OFF_GRID)
+        best, trace = seo._run_sweeps(start, topo, small_config, tin_objective())
+        assert trace.objective[0] == pytest.approx(group_gains(start, topo, small_config).inv_sum, rel=1e-12)
+        assert trace.objective[-1] == pytest.approx(group_gains(best, topo, small_config).inv_sum, rel=1e-12)
+
+    def test_rejects_a_non_finite_start(self):
+        with pytest.raises(PlacementError):
+            Placement(x_m=[1.0, math.nan])
+        with pytest.raises(PlacementError):
+            Placement(x_m=[math.inf])
 
 
 class TestHoeSweep:
