@@ -1,15 +1,16 @@
 """System configuration and unit helpers.
 
 All powers are stored in linear watts internally.  dBm only appears at the
-parsing boundary (config/topology files and CLI flags).
+parsing boundary, where :func:`dbm_input_watts` checks every value.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, PinchcastError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -21,6 +22,18 @@ def is_number(v: object, kind: type = numbers.Real) -> bool:
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
+
+
+def dbm_input_watts(v: object, key: str, error: type[PinchcastError] = ConfigError) -> float:
+    """The dBm input ``v`` given under ``key``, in watts.  ``error`` names
+    the key when ``v`` is no number or its watts are no positive float."""
+    if not is_number(v):
+        raise error(f"{key} must be a number, got {v!r}")
+    with contextlib.suppress(OverflowError):  # float powers raise on overflow
+        w = dbm_to_watts(float(v))
+        if 0.0 < w < math.inf:
+            return w
+    raise error(f"{key} {v!r} dBm is out of range in watts")
 
 
 def watts_to_dbm(p_w: float) -> float:

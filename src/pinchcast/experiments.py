@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .config import SystemConfig, is_number
+from .config import SystemConfig, dbm_input_watts, is_number
 from .errors import PinchcastError
 from .noma import solve_noma
 from .records import SchemeSolution
@@ -89,6 +89,9 @@ class ExperimentSpec:
             raise PinchcastError(f"values must be a non-empty list of numbers, got {self.values!r}")
         if self.sweep in ("num_antennas", "num_groups") and not all(float(v).is_integer() for v in self.values):
             raise PinchcastError(f"{self.sweep} sweep values must be whole numbers, got {self.values!r}")
+        if self.sweep == "power_dbm":
+            for v in self.values:
+                dbm_input_watts(v, "power_dbm value", PinchcastError)
         for name in ("trials", "seed", "num_groups", "num_users", "num_antennas", "users_per_group"):
             v = getattr(self, name)
             if not (is_number(v, numbers.Integral) or (v is None and name in ("num_antennas", "users_per_group"))):

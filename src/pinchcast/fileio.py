@@ -19,8 +19,8 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_to_watts, is_number, watts_to_dbm
-from .errors import ConfigError, PinchcastError, TopologyError
+from .config import CONFIG_FIELD_NAMES, SystemConfig, dbm_input_watts, is_number, watts_to_dbm
+from .errors import ConfigError, TopologyError
 from .topology import Topology
 
 
@@ -38,20 +38,13 @@ def _load_yaml(path: str | Path) -> dict[str, Any]:
     return data
 
 
-def _dbm_watts(v: Any, key: str, error: type[PinchcastError]) -> float:
-    """The dBm value ``v`` given under ``key``, in watts."""
-    if not is_number(v):
-        raise error(f"{key} must be a number, got {v!r}")
-    return dbm_to_watts(float(v))
-
-
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     data = dict(data)
     for alias, key in (("power_budget_dbm", "power_budget_w"), ("noise_dbm", "noise_w")):
         if alias in data:
             if key in data:
                 raise ConfigError(f"give {alias} or {key}, not both")
-            data[key] = _dbm_watts(data.pop(alias), alias, ConfigError)
+            data[key] = dbm_input_watts(data.pop(alias), alias)
     unknown = set(data) - set(CONFIG_FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -72,7 +65,7 @@ def topology_from_dict(data: dict[str, Any], default_noise_w: float) -> Topology
     if not isinstance(data["groups"], list):
         raise TopologyError(f"groups must be a list of groups, got {data['groups']!r}")
     file_noise = data.get("noise_dbm")
-    base_noise = default_noise_w if file_noise is None else _dbm_watts(file_noise, "noise_dbm", TopologyError)
+    base_noise = default_noise_w if file_noise is None else dbm_input_watts(file_noise, "noise_dbm", TopologyError)
     xyz: list[list[float]] = []
     noise: list[float] = []
     groups: list[tuple[int, ...]] = []
@@ -87,7 +80,8 @@ def topology_from_dict(data: dict[str, Any], default_noise_w: float) -> Topology
                     f"group {gi}, user {ui}: expected numbers [x, y] or [x, y, noise_dbm], got {entry!r}"
                 )
             xyz.append([float(entry[0]), float(entry[1]), 0.0])
-            noise.append(dbm_to_watts(float(entry[2])) if len(entry) == 3 else base_noise)
+            key = f"group {gi}, user {ui}: noise_dbm"
+            noise.append(dbm_input_watts(entry[2], key, TopologyError) if len(entry) == 3 else base_noise)
             members.append(idx)
             idx += 1
         groups.append(tuple(members))

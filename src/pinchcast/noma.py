@@ -224,14 +224,12 @@ def mmf_rate_reaches(p_t: float) -> ReachTest:
     """Reach test of the max-min cancellation rate: the columns whose rate
     may reach ``floor * (1 - _REACH_RTOL)``, by :func:`_reaches`.  The rate
     increases in every gain, so on optimistic gains the test keeps every
-    column whose true gains reach that cut.  Superposition coding dominates
-    time sharing on a degraded broadcast channel, so a column it clears
-    cannot reach the cut with the shared-placement TDMA rate either, and
-    both scalar objectives use it."""
+    column whose true gains reach that cut, and every column at a floor of 0
+    (a negative cut SINR).  Superposition coding dominates time sharing on a
+    degraded broadcast channel, so a column it clears cannot reach the cut
+    with the TDMA-PM rate either, and both scalar objectives use it."""
 
     def reaches(gain_matrix: np.ndarray, floor: float) -> np.ndarray:
-        if floor <= 0.0:
-            return np.ones(gain_matrix.shape[1], dtype=bool)
         # the scalar rate log2(1 + gamma) rounds 1 + gamma, up to 2^-53 / ln2
         # above the true rate: beyond the relative slack at SINRs below 1e-7
         cut = floor * (1.0 - _REACH_RTOL) - 2.0**-51

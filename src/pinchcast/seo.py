@@ -1,10 +1,10 @@
 """Sequential element-wise optimization over a discretized aperture.
 
 One antenna coordinate is re-optimized at a time by a 1-D search over the
-candidate grid, holding the others fixed.  Every path term comes from one
-table per search, and the state is the table column each antenna holds: a
-move gathers the fixed antennas' columns once, and only the moving antenna's
-column varies across candidates.
+grid points that keep the minimum spacing to the antennas that stay put
+(:func:`_feasible_mask`).  Every path term comes from one table per search,
+and the state is the table column each antenna holds: a move gathers the
+fixed antennas' columns once, and only the moving antenna's column varies.
 
 Element-wise search stops at coordinate-wise optima, and with a grid step
 many wavelengths long the placement landscape has many of them.  Whenever the
@@ -212,14 +212,6 @@ class SweepTrace:
         return self.stage2_evals / self.total_candidates
 
 
-def spacing_mask(points: np.ndarray, others_x: np.ndarray, min_spacing_m: float) -> np.ndarray:
-    """Boolean mask of grid points at least ``min_spacing_m`` from every entry of ``others_x``."""
-    if others_x.size == 0:
-        return np.ones(points.size, dtype=bool)
-    gaps = np.abs(points[:, None] - others_x[None, :])
-    return np.all(gaps >= min_spacing_m, axis=1)
-
-
 def feasible_candidates(
     grid: CandidateGrid, placement: Placement, n: int, config: SystemConfig
 ) -> np.ndarray:
@@ -231,18 +223,18 @@ def feasible_candidates(
     x = placement.x_m
     if not 0 <= n < x.size:
         raise IndexError(f"antenna index {n} out of range for {x.size} antennas")
-    return grid.points[_feasible_mask(grid.points, x, n, config.min_spacing_m)]
+    return grid.points[_feasible_mask(grid.points, np.delete(x, n), config.min_spacing_m)]
 
 
-def _feasible_mask(points: np.ndarray, x: np.ndarray, n: int, min_spacing_m: float) -> np.ndarray:
-    """Mask of the ``points`` open to antenna ``n`` of ``x``; raises
-    InfeasiblePlacementError when it is empty."""
-    others = np.delete(x, n)
-    mask = spacing_mask(points, others, min_spacing_m)
+def _feasible_mask(points: np.ndarray, others: np.ndarray, min_spacing_m: float) -> np.ndarray:
+    """Mask of the ``points`` at least ``min_spacing_m`` from each of the
+    ``others``, the antennas that stay put: the one spacing rule of every
+    move.  Raises InfeasiblePlacementError when it is empty."""
+    mask = np.all(np.abs(points[:, None] - others) >= min_spacing_m, axis=1)
     if not mask.any():
         raise InfeasiblePlacementError(
-            f"no grid candidate keeps {min_spacing_m:.6g} m spacing for antenna {n} "
-            f"(others at {np.array2string(others, precision=4)})"
+            f"no grid candidate keeps {min_spacing_m:.6g} m spacing to the other antennas "
+            f"(at {np.array2string(others, precision=4)})"
         )
     return mask
 
@@ -262,11 +254,11 @@ def random_placement(
         raise InfeasiblePlacementError(f"cannot place {n} antennas on {grid.num_points} grid points")
     for _ in range(200):
         xs = np.sort(grid.points[rng.choice(grid.num_points, size=n, replace=False)])
-        if n == 1 or np.all(np.diff(xs) >= config.min_spacing_m):
+        if np.all(np.diff(xs) >= config.min_spacing_m):
             return Placement(x_m=xs)
     idx = np.unique(np.round(np.linspace(0, grid.num_points - 1, n)).astype(int))
     xs = grid.points[idx]
-    if xs.size == n and (n == 1 or np.all(np.diff(xs) >= config.min_spacing_m)):
+    if xs.size == n and np.all(np.diff(xs) >= config.min_spacing_m):
         return Placement(x_m=xs)
     raise InfeasiblePlacementError(
         f"could not find a feasible placement for {n} antennas "
@@ -395,15 +387,16 @@ def _screened_select(
     A group's minimum over some of its users is at least its minimum over
     all of them.  With ``screen`` and an objective that has a reach test,
     the gains over each group's weakest user at the incumbent are therefore
-    optimistic, and the columns the test shows unable to reach ``floor``
-    (the incumbent's exact value) never get full gains.  The incumbent is
-    always kept, so are the best column and every column that ties it, and
-    the selection is the one :func:`_select` makes on the full matrix.  The
-    gains returned are a view into the matrix the selection scored.
+    optimistic (exact where every group has one user), and the columns the
+    test shows unable to reach ``floor`` (the incumbent's exact value) never
+    get full gains.  The incumbent is always kept, so are the best column and
+    every column that ties it, and the selection is the one :func:`_select`
+    makes on the full matrix.  The gains returned are a view into the matrix
+    the selection scored.
     """
     k = c.den.shape[0]
     cols = None
-    if screen and objective.reaches is not None and inc_j is not None and len(spans) < k:
+    if screen and objective.reaches is not None and inc_j is not None:
         inc = _candidate_gains(c.cols([inc_j]), _unit_spans(k))[:, 0]
         weakest = [s + int(np.argmin(inc[s:e])) for s, e in spans]
         keep = objective.reaches(_candidate_gains(c.rows(weakest), _unit_spans(len(spans))), floor)
@@ -504,8 +497,9 @@ def _run_sweeps(
 
     def element_moves():
         for i in range(n):
-            q = np.flatnonzero(_feasible_mask(grid.points, pos[col], i, spacing))
-            h_bar = terms.take(np.delete(col, i), axis=1).sum(axis=1)[:, None]
+            others = np.delete(col, i)
+            q = np.flatnonzero(_feasible_mask(grid.points, pos[others], spacing))
+            h_bar = terms.take(others, axis=1).sum(axis=1)[:, None]
             c = CandidateSet(h_bar.real, h_bar.imag, t_re, t_im, np.zeros(q.size, dtype=np.intp), q, den)
             j = yield c, _first_true(q == col[i])
             col[i] = q[j]
@@ -516,7 +510,7 @@ def _run_sweeps(
         # feasible pair of grid points; only strict improvements move them
         for i in range(n - 1):
             others = np.delete(col, [i, i + 1])
-            feasible = spacing_mask(grid.points, pos[others], spacing)
+            feasible = _feasible_mask(grid.points, pos[others], spacing)
             keep = feasible[pair_p] & feasible[pair_q]
             p, q = pair_p[keep], pair_q[keep]
             inc_j = _first_true((p == col[i]) & (q == col[i + 1]))

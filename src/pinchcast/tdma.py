@@ -233,8 +233,7 @@ def _frontier_dual_bound(
             if k == steps:
                 break
             keep = best[live] >= floor
-            if not keep.all():
-                live, a, nu, u, em1 = live[keep], a[:, keep], nu[keep], u[:, keep], em1[:, keep]
+            live, a, nu, u, em1 = live[keep], a[:, keep], nu[keep], u[:, keep], em1[:, keep]
             if not live.size:
                 break
             # Newton in log nu on log energy(nu) = log p_t, each step clipped
@@ -247,8 +246,7 @@ def _frontier_dual_bound(
             step = np.log(energy / p_t) * energy / (nu * d_energy)
             if k:  # warm steps leave the exponents at their roots, so a short step means nu is near its optimum
                 keep = np.abs(step) > _NU_STOP
-                if not keep.all():
-                    live, a, nu, u, step = live[keep], a[:, keep], nu[keep], u[:, keep], step[keep]
+                live, a, nu, u, step = live[keep], a[:, keep], nu[keep], u[:, keep], step[keep]
                 if not live.size:
                     break
             nu = nu * np.exp(-np.clip(step, -3.0, 3.0))

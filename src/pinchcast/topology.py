@@ -101,13 +101,12 @@ class Placement:
                 f"antenna positions must lie in [0, {config.waveguide_length_m}], got "
                 f"[{x[0]}, {x[-1]}]"
             )
-        if x.size > 1:
-            gaps = np.diff(x)
-            if np.any(gaps < config.min_spacing_m):
-                raise PlacementError(
-                    f"minimum spacing {config.min_spacing_m:.6g} m violated "
-                    f"(smallest gap {gaps.min():.6g} m)"
-                )
+        gaps = np.diff(x)
+        if np.any(gaps < config.min_spacing_m):
+            raise PlacementError(
+                f"minimum spacing {config.min_spacing_m:.6g} m violated "
+                f"(smallest gap {gaps.min():.6g} m)"
+            )
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from pinchcast import (
     solve_ula,
     watts_to_dbm,
 )
+from pinchcast.config import dbm_input_watts
 from pinchcast.experiments import SCHEMES, TOPOLOGY_MODES, ExperimentResult, _solve_one, spec_point_config
 
 
@@ -39,6 +40,13 @@ class TestUnits:
         assert dbm_to_watts(-10.0) == pytest.approx(1e-4, rel=1e-12)
         assert dbm_to_watts(-90.0) == pytest.approx(1e-12, rel=1e-12)
         assert watts_to_dbm(dbm_to_watts(7.3)) == pytest.approx(7.3, rel=1e-12)
+        # file and spec values pass the checked conversion unchanged, and
+        # one whose watts overflow or underflow is named
+        for v in (-300, -90.0, -10.0, 0, 7.3, 30, 3000.0):
+            assert dbm_input_watts(v, "p") == dbm_to_watts(float(v))
+        for v in (4000, -4000.0):
+            with pytest.raises(PinchcastError, match="p_dbm"):
+                dbm_input_watts(v, "p_dbm")
 
 
 class TestGenerateTopology:
@@ -466,12 +474,17 @@ class TestCli:
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, {"grid_points": 40.5}),
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "power_budget_dbm: abc\n"),
             ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "waveguide_length_m: .inf\n"),
+            # dBm values whose watts overflow a float
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "power_budget_dbm: 4000\n"),
+            ({"sweep": "power_dbm", "values": [0.0], "trials": 1}, "noise_dbm: 4000\n"),
+            ({"sweep": "power_dbm", "values": [0.0, 4000], "trials": 1}, {}),
         ],
         ids=[
             "unknown-config-key", "unknown-spec-key", "missing-values", "scalar-values",
             "string-trials", "missing-config-file", "missing-spec-file", "malformed-yaml",
             "string-grid-points", "string-carrier", "fractional-sweep-cap", "fractional-grid-points",
-            "string-power-alias", "infinite-length",
+            "string-power-alias", "infinite-length", "overflowing-power-alias", "overflowing-noise-alias",
+            "overflowing-spec-power",
         ],
     )
     def test_input_errors_end_in_one_line(self, tmp_path, spec, config):
@@ -491,7 +504,7 @@ class TestCli:
         [
             "missing-topology", "malformed-topology", "undecodable-topology", "missing-out-dir",
             "flat-group", "string-coordinate", "scalar-groups", "string-noise", "nan-coordinate",
-            "inf-coordinate", "nan-noise", "inf-noise",
+            "inf-coordinate", "nan-noise", "inf-noise", "overflowing-user-noise", "overflowing-file-noise",
         ],
     )
     def test_solve_input_errors_end_in_one_line(self, tmp_path, case):
@@ -507,6 +520,8 @@ class TestCli:
             "inf-coordinate": b"groups:\n  - [[.inf, 1.0]]\n",
             "nan-noise": b"groups:\n  - [[2.0, 1.0]]\nnoise_dbm: .nan\n",
             "inf-noise": b"groups:\n  - [[2.0, 1.0, .inf]]\n",
+            "overflowing-user-noise": b"groups:\n  - [[3.2, 1.0, 4000]]\n",
+            "overflowing-file-noise": b"groups:\n  - [[2.0, 1.0]]\nnoise_dbm: 4000\n",
         }.get(case)
         topo_path, cfg_path = tmp_path / "topo.yaml", tmp_path / "cfg.yaml"
         cfg_path.write_text("waveguide_length_m: 10.0\ngrid_points: 20\nnum_antennas: 2\n")

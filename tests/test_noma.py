@@ -313,6 +313,8 @@ class TestMmfRateBound:
                     noma = np.array([math.log2(1.0 + _mmf_gamma(sorted(c.tolist()), p_t)) for c in A.T])
                     pm = np.array([pm_rate(c, p_t) for c in A.T])
                     reaches = mmf_rate_reaches(p_t)
+                    # a floor of 0 lies below every rate
+                    assert np.all(reaches(A, 0.0)), (gains.__name__, g, dbm)
                     for rate, j in itertools.product((noma, pm), rng.choice(30, 3, replace=False)):
                         for floor in (rate[j], rate[j] * (1.0 + 0.5 * seo._REACH_RTOL)):
                             keep = reaches(A, floor)

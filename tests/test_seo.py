@@ -518,9 +518,9 @@ class TestScreenedSelection:
     gains.  It must choose what :func:`_select` chooses on the full matrix."""
 
     @staticmethod
-    def _candidates(rng, g, pair):
-        # 2 to 4 users per group; pair-move or element-move columns
-        sizes = rng.integers(2, 5, g)
+    def _candidates(rng, g, pair, one_user):
+        # 2 to 4 users per group, or one each; pair-move or element-move columns
+        sizes = np.ones(g, dtype=int) if one_user else rng.integers(2, 5, g)
         ends = np.cumsum(sizes).tolist()
         spans = list(zip([0] + ends[:-1], ends))
         k, width = ends[-1], 30
@@ -550,12 +550,14 @@ class TestScreenedSelection:
 
     def _cases(self, seed):
         rng = np.random.default_rng(seed)
-        for g, pair in itertools.product(range(1, 7), (True, False)):
-            c, spans = self._candidates(rng, g, pair)
+        # one-user groups come last, so the draws before them stay put;
+        # there the screen's optimistic gains are the full gains
+        for one_user, g, pair in itertools.product((False, True), range(1, 7), (True, False)):
+            c, spans = self._candidates(rng, g, pair, one_user)
             A = seo._candidate_gains(c, spans)
             for name, objective in self._objectives(g):
                 values = np.array([objective.value(col) for col in A.T])
-                yield (name, g, pair), c, spans, A, objective, values
+                yield (name, g, pair, one_user), c, spans, A, objective, values
 
     @staticmethod
     def _best(objective, values):
